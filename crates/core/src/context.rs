@@ -12,26 +12,23 @@
 //!   storage already inside the destination objects. The engine's batch
 //!   workers (one scratch per thread) run exclusively on these.
 //!
-//! Construction goes through [`RlweContextBuilder`], which also selects the
-//! NTT backend ([`NttBackend`]) and the Knuth-Yao sampler variant
-//! ([`SamplerKind`]) — backend choice is API now, not module-picking, and
-//! every backend produces bit-identical transforms (the cross-backend
-//! equivalence tests in `rlwe-ntt` enforce it).
+//! Construction goes through [`RlweContextBuilder`], whose one knob is the
+//! sampler variant ([`SamplerKind`]). The NTT is not configurable: every
+//! context transforms through the AVX2 kernels when the host has them and
+//! through the bit-identical scalar reference otherwise ([`NttBackend`]
+//! reports which one was picked).
 
 use rand::RngCore;
-use rlwe_ntt::{packed, parallel, pointwise, swar, AnyNttPlan, NttPlan, PolyScratch};
+use rlwe_ntt::{pointwise, AnyNttPlan, NttPlan, PolyScratch};
 use rlwe_sampler::ct::CtCdtSampler;
 use rlwe_sampler::random::{BitSource, BufferedBitSource, WordSource};
 use rlwe_sampler::{KnuthYao, ProbabilityMatrix};
 use rlwe_zq::{Reducer, ReducerKind};
 
-use crate::encode::{
-    decode_message_into, encode_message_add_assign, encode_message_add_assign_strided,
-};
+use crate::encode::{decode_message_into, encode_message_add_assign};
 use crate::keys::{Ciphertext, PublicKey, SecretKey};
 use crate::params::{ParamSet, Params};
 use crate::poly::{Ntt, Poly};
-use crate::prepared::PreparedPublicKey;
 use crate::RlweError;
 
 /// Adapter turning any [`rand::RngCore`] into the sampler's word source.
@@ -58,28 +55,19 @@ impl<R: RngCore + ?Sized> WordSource for RngWords<'_, R> {
     }
 }
 
-/// Which NTT implementation the context routes transforms through.
+/// Which NTT kernel a context's transforms run on — chosen at
+/// construction from the host, never configured.
 ///
-/// All three are bit-for-bit equivalent (see `crates/ntt/tests/backends.rs`);
-/// they differ only in data layout and therefore speed per platform.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+/// Both are bit-for-bit equivalent (see `crates/ntt/tests/avx2.rs`); they
+/// differ only in speed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum NttBackend {
-    /// The scalar in-place reference transform ([`NttPlan::forward`]).
-    #[default]
+    /// The scalar in-place reference transform ([`NttPlan::forward`]):
+    /// hosts without AVX2, and rings with `n < 16`.
     Reference,
-    /// Two coefficients per 32-bit word, §III-D of the paper
-    /// ([`rlwe_ntt::packed`]).
-    Packed,
-    /// Four 16-bit lanes per 64-bit word, SIMD-within-a-register
-    /// ([`rlwe_ntt::swar`]). Forward only; the inverse falls back to the
-    /// reference transform. Rings with `n < 8` also fall back.
-    Swar,
-    /// Eight 32-bit lanes per AVX2 vector ([`rlwe_ntt::avx2`]). Selects
-    /// the explicit `std::arch` kernels when the host supports AVX2
-    /// (runtime-detected at plan construction) and falls back to the
-    /// bit-identical scalar reference transform otherwise, so the
-    /// backend is safe to configure unconditionally.
+    /// Eight 32-bit lanes per AVX2 vector ([`rlwe_ntt::avx2`]), selected
+    /// when the host reports AVX2 at plan construction.
     Avx2,
 }
 
@@ -88,8 +76,6 @@ impl NttBackend {
     pub fn label(self) -> &'static str {
         match self {
             NttBackend::Reference => "reference",
-            NttBackend::Packed => "packed",
-            NttBackend::Swar => "swar",
             NttBackend::Avx2 => "avx2",
         }
     }
@@ -174,7 +160,7 @@ pub(crate) struct ObsHooks {
     pub sp_enc_sample: rlwe_obs::SpanId,
     /// Encrypt message-encode phase.
     pub sp_enc_encode: rlwe_obs::SpanId,
-    /// Encrypt fused triple forward NTT phase.
+    /// Encrypt triple forward NTT phase.
     pub sp_enc_ntt: rlwe_obs::SpanId,
     /// Encrypt pointwise multiply-add phase.
     pub sp_enc_pointwise: rlwe_obs::SpanId,
@@ -237,26 +223,6 @@ impl ObsHooks {
     }
 }
 
-/// Which modular-reduction instantiation the context's kernels run on.
-///
-/// The default, [`ReducerPreference::Auto`], dispatches on the modulus
-/// once at construction: `q = 7681` and `q = 12289` (the paper's P1/P2
-/// primes) get the fully monomorphized special-prime reducers
-/// ([`rlwe_zq::reduce::Q7681`] / [`rlwe_zq::reduce::Q12289`]), every
-/// other prime the runtime-Barrett fallback. All instantiations are
-/// bit-identical; [`ReducerPreference::Generic`] forces the fallback
-/// even for the paper's primes — the ablation/bench knob, not something
-/// a server wants.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[non_exhaustive]
-pub enum ReducerPreference {
-    /// Specialize when the modulus is one of the paper's primes.
-    #[default]
-    Auto,
-    /// Always use the runtime-Barrett reducer.
-    Generic,
-}
-
 /// Configures and builds an [`RlweContext`].
 ///
 /// # Example
@@ -266,19 +232,19 @@ pub enum ReducerPreference {
 ///
 /// # fn main() -> Result<(), rlwe_core::RlweError> {
 /// let ctx = RlweContext::builder(ParamSet::P1)
-///     .ntt_backend(NttBackend::Packed)
-///     .sampler(SamplerKind::Lut)
+///     .sampler(SamplerKind::CtCdt)
 ///     .build()?;
-/// assert_eq!(ctx.backend(), NttBackend::Packed);
+/// assert_eq!(ctx.sampler_kind(), SamplerKind::CtCdt);
+/// // The NTT kernel is picked from the host, not configured.
+/// let avx2 = rlwe_ntt::avx2::available();
+/// assert_eq!(ctx.backend() == NttBackend::Avx2, avx2);
 /// # Ok(())
 /// # }
 /// ```
 #[derive(Debug, Clone)]
 pub struct RlweContextBuilder {
     params: Params,
-    backend: NttBackend,
     sampler: SamplerKind,
-    reducer: ReducerPreference,
 }
 
 impl RlweContextBuilder {
@@ -291,30 +257,13 @@ impl RlweContextBuilder {
     pub fn with_params(params: Params) -> Self {
         Self {
             params,
-            backend: NttBackend::default(),
             sampler: SamplerKind::default(),
-            reducer: ReducerPreference::default(),
         }
-    }
-
-    /// Selects the NTT backend (default: [`NttBackend::Reference`]).
-    pub fn ntt_backend(mut self, backend: NttBackend) -> Self {
-        self.backend = backend;
-        self
     }
 
     /// Selects the Knuth-Yao sampler variant (default: [`SamplerKind::Lut`]).
     pub fn sampler(mut self, sampler: SamplerKind) -> Self {
         self.sampler = sampler;
-        self
-    }
-
-    /// Selects the reducer instantiation (default:
-    /// [`ReducerPreference::Auto`] — specialize for the paper's primes).
-    /// [`ReducerPreference::Generic`] exists for ablation benches and
-    /// bit-identity tests.
-    pub fn reducer_preference(mut self, reducer: ReducerPreference) -> Self {
-        self.reducer = reducer;
         self
     }
 
@@ -325,30 +274,15 @@ impl RlweContextBuilder {
     /// * [`RlweError::Ntt`] if `q` is not an NTT-friendly prime for `n`.
     /// * [`RlweError::Sampler`] if the Gaussian tables cannot meet the
     ///   2⁻⁹⁰ statistical-distance bound.
-    /// * [`RlweError::Malformed`] if the modulus is too wide for the
-    ///   selected backend's lane layout (the halfword-packed
-    ///   [`NttBackend::Packed`]/[`NttBackend::Swar`] lazy butterflies
-    ///   need `4q < 2¹⁶`, i.e. `q < 2¹⁴`).
     pub fn build(self) -> Result<RlweContext, RlweError> {
-        // The lane layouts assume narrow coefficients (the paper's §III-C
-        // observation) with headroom for the [0, 4q) lazy domain; past
-        // these widths lanes would silently overlap.
-        let q = self.params.q();
-        let max_q = match self.backend {
-            // NttPlan::new enforces q < 2³⁰; the AVX2 lanes are full
-            // 32-bit words, so they share the reference bound.
-            NttBackend::Reference | NttBackend::Avx2 => u32::MAX,
-            NttBackend::Packed | NttBackend::Swar => rlwe_ntt::packed::MAX_PACKED_Q,
-        };
-        if q >= max_q {
-            return Err(RlweError::Malformed {
-                reason: format!(
-                    "modulus {q} is too wide for the {:?} NTT backend (needs q < {max_q})",
-                    self.backend
-                ),
-            });
-        }
         let plan = NttPlan::new(self.params.n(), self.params.q())?;
+        // The plan carries AVX2 tables exactly when the host has AVX2 and
+        // the ring is wide enough for the eight-lane kernels.
+        let backend = if plan.has_avx2() {
+            NttBackend::Avx2
+        } else {
+            NttBackend::Reference
+        };
         // Dispatch the reducer instantiation exactly once, here: every
         // hot path below routes through `dispatch`, so the P1/P2 kernels
         // run fully monomorphized with compile-time constants. The
@@ -356,14 +290,7 @@ impl RlweContextBuilder {
         // (cost-model and bench consumers) — same twiddles, same
         // outputs, different reduction tail; `promote` moves a clone's
         // tables into the specialized type rather than rebuilding them.
-        let dispatch = match self.reducer {
-            ReducerPreference::Auto => {
-                AnyNttPlan::promote_for_backend(plan.clone(), self.backend.label())
-            }
-            ReducerPreference::Generic => {
-                AnyNttPlan::generic_for_backend(plan.clone(), self.backend.label())
-            }
-        };
+        let dispatch = AnyNttPlan::promote_for_backend(plan.clone(), backend.label());
         let spec = self.params.spec();
         let pmat = ProbabilityMatrix::build(spec, spec.paper_rows(), 109)?;
         // The CT sampler inverts the same probability table the Knuth-Yao
@@ -379,14 +306,14 @@ impl RlweContextBuilder {
         let ky = KnuthYao::new(pmat)?;
         // Observability handles resolve here, once: hot paths below
         // record through them without touching the registry again.
-        let obs = ObsHooks::resolve(&self.params, dispatch.kind(), self.backend, self.sampler);
+        let obs = ObsHooks::resolve(&self.params, dispatch.kind(), backend, self.sampler);
         Ok(RlweContext {
             params: self.params,
             plan,
             dispatch,
             ky,
             ct,
-            backend: self.backend,
+            backend,
             sampler: self.sampler,
             obs,
         })
@@ -438,7 +365,7 @@ pub struct RlweContext {
     plan: NttPlan,
     /// The reducer-dispatched plan every scheme operation routes
     /// through; for P1/P2 this holds the monomorphized special-prime
-    /// kernels (unless [`ReducerPreference::Generic`] was selected).
+    /// kernels.
     dispatch: AnyNttPlan,
     ky: KnuthYao,
     /// Present exactly when `sampler == SamplerKind::CtCdt`.
@@ -450,7 +377,7 @@ pub struct RlweContext {
 }
 
 impl RlweContext {
-    /// Builds a context for a named parameter set with default backend and
+    /// Builds a context for a named parameter set with the default
     /// sampler.
     ///
     /// # Errors
@@ -461,8 +388,7 @@ impl RlweContext {
         RlweContextBuilder::new(set).build()
     }
 
-    /// Builds a context for custom parameters with default backend and
-    /// sampler.
+    /// Builds a context for custom parameters with the default sampler.
     ///
     /// # Errors
     ///
@@ -471,7 +397,7 @@ impl RlweContext {
         RlweContextBuilder::with_params(params).build()
     }
 
-    /// Starts configuring a context (parameter set + NTT backend + sampler).
+    /// Starts configuring a context (parameter set + sampler).
     pub fn builder(set: ParamSet) -> RlweContextBuilder {
         RlweContextBuilder::new(set)
     }
@@ -498,12 +424,15 @@ impl RlweContext {
         self.ct.as_ref()
     }
 
-    /// The NTT backend this context routes transforms through.
+    /// The NTT kernel this context's transforms run on:
+    /// [`NttBackend::Avx2`] exactly when the dispatched plan carries AVX2
+    /// tables (the host has AVX2 and `n ≥ 16`), [`NttBackend::Reference`]
+    /// otherwise.
     pub fn backend(&self) -> NttBackend {
         self.backend
     }
 
-    /// Stable label of the configured NTT backend — the value this
+    /// Stable label of the selected NTT backend — the value this
     /// context exported on the `ntt_backend` dimension of
     /// `rlwe_ntt_dispatch_total` at construction (surfaced alongside
     /// [`RlweContext::reducer_kind`], which CI pins the same way).
@@ -511,19 +440,10 @@ impl RlweContext {
         self.backend.label()
     }
 
-    /// Whether the dispatched plan carries AVX2 twiddle tables — i.e.
-    /// the host supports AVX2 (runtime-detected once at construction)
-    /// and the ring is wide enough for the eight-lane kernels. When
-    /// `false`, [`NttBackend::Avx2`] transparently serves the
-    /// bit-identical scalar reference transform.
-    pub fn has_avx2(&self) -> bool {
-        self.dispatch.has_avx2()
-    }
-
     /// Which reducer instantiation the scheme kernels dispatched to —
     /// [`ReducerKind::Q7681`]/[`ReducerKind::Q12289`] for the paper's
-    /// parameter sets under [`ReducerPreference::Auto`],
-    /// [`ReducerKind::Barrett`] otherwise. CI pins this for P1/P2.
+    /// parameter sets, [`ReducerKind::Barrett`] otherwise. CI pins this
+    /// for P1/P2.
     pub fn reducer_kind(&self) -> ReducerKind {
         self.dispatch.kind()
     }
@@ -580,7 +500,7 @@ impl RlweContext {
     }
 
     // ------------------------------------------------------------------
-    // Backend dispatch
+    // Sampler dispatch
     // ------------------------------------------------------------------
 
     /// Fills `out` with error-polynomial residues through the configured
@@ -615,168 +535,6 @@ impl RlweContext {
                 // scan (AVX2 when the host has it, the bit-identical
                 // scalar kernel otherwise), per-sample on the tail.
                 ct.sample_poly_into(r, bits, out);
-            }
-        }
-    }
-
-    /// Fills an 8-way interleaved wide buffer (`wide[8*i + j]` =
-    /// coefficient `i` of lane `j`) with error residues, each lane
-    /// drawing exclusively from its own bit source. Per-lane draw order
-    /// is identical to [`Self::sample_error_into`] on that lane's
-    /// source, so the fused grouped encrypt stays bit-compatible with
-    /// eight sequential encrypts.
-    fn sample_group_interleaved<R: Reducer, B: BitSource>(
-        &self,
-        r: &R,
-        sources: &mut [B; 8],
-        wide: &mut [u32],
-    ) {
-        self.obs.sampler_draws.add(wide.len() as u64);
-        self.obs.sampler_dispatch.add(1);
-        match self.sampler {
-            SamplerKind::Lut => self.ky.sample_interleaved8_reduced_into(r, sources, wide),
-            SamplerKind::Basic => {
-                // Lane-major like the Lut rung: each lane's run keeps
-                // its own branch history warm (see the sampler crate's
-                // `sample_interleaved8_reduced_into`).
-                for (j, src) in sources.iter_mut().enumerate() {
-                    for c in wide.iter_mut().skip(j).step_by(8) {
-                        *c = self.ky.sample_basic(src).to_zq_with(r);
-                    }
-                }
-            }
-            SamplerKind::Lut1 => {
-                for (j, src) in sources.iter_mut().enumerate() {
-                    for c in wide.iter_mut().skip(j).step_by(8) {
-                        *c = self.ky.sample_lut1(src).to_zq_with(r);
-                    }
-                }
-            }
-            SamplerKind::CtCdt => {
-                let ct = self
-                    .ct
-                    .as_ref()
-                    // panic-allow(builder installs the CT sampler whenever the rung is CtCdt)
-                    .expect("CtCdt contexts always carry the CT sampler");
-                ct.sample_interleaved8_into(r, sources, wide);
-            }
-        }
-    }
-
-    /// In-place forward NTT through the configured backend, on the
-    /// dispatched plan.
-    fn ntt_forward<R: Reducer>(&self, plan: &NttPlan<R>, a: &mut [u32], scratch: &mut PolyScratch) {
-        match self.backend {
-            NttBackend::Reference => plan.forward(a),
-            NttBackend::Avx2 => plan.forward_avx2(a),
-            NttBackend::Packed => {
-                let mut w = scratch.take();
-                let half = a.len() / 2;
-                for (i, word) in w[..half].iter_mut().enumerate() {
-                    *word = rlwe_zq::packed::pack(a[2 * i], a[2 * i + 1]);
-                }
-                packed::forward_packed(plan, &mut w[..half]);
-                for (i, &word) in w[..half].iter().enumerate() {
-                    let (lo, hi) = rlwe_zq::packed::unpack(word);
-                    a[2 * i] = lo;
-                    a[2 * i + 1] = hi;
-                }
-                scratch.put(w);
-            }
-            NttBackend::Swar => {
-                if a.len() < 8 {
-                    plan.forward(a);
-                    return;
-                }
-                let mut w = scratch.take64();
-                for (i, word) in w.iter_mut().enumerate() {
-                    *word = swar::pack4([a[4 * i], a[4 * i + 1], a[4 * i + 2], a[4 * i + 3]]);
-                }
-                swar::forward_swar(plan, &mut w);
-                for (i, &word) in w.iter().enumerate() {
-                    let lanes = swar::unpack4(word);
-                    a[4 * i..4 * i + 4].copy_from_slice(&lanes);
-                }
-                scratch.put64(w);
-            }
-        }
-    }
-
-    /// Three forward NTTs — the paper's parallel NTT: one fused loop nest
-    /// on the reference backend, the fused *packed* loop nest (the
-    /// configuration Table I actually benchmarks) on the packed backend,
-    /// per-polynomial on SWAR.
-    fn ntt_forward3<R: Reducer>(
-        &self,
-        plan: &NttPlan<R>,
-        polys: [&mut [u32]; 3],
-        scratch: &mut PolyScratch,
-    ) {
-        match self.backend {
-            NttBackend::Reference => parallel::forward3(plan, polys),
-            // Three vectorized transforms; twiddle loads are amortized
-            // across eight in-register lanes instead of across the three
-            // polynomials, so no fused loop nest is needed.
-            NttBackend::Avx2 => {
-                for p in polys {
-                    plan.forward_avx2(p);
-                }
-            }
-            NttBackend::Packed => {
-                let half = self.params.n() / 2;
-                let mut words = [scratch.take(), scratch.take(), scratch.take()];
-                for (w, p) in words.iter_mut().zip(polys.iter()) {
-                    for (i, word) in w[..half].iter_mut().enumerate() {
-                        *word = rlwe_zq::packed::pack(p[2 * i], p[2 * i + 1]);
-                    }
-                }
-                {
-                    let [wa, wb, wc] = &mut words;
-                    parallel::forward3_packed(
-                        plan,
-                        [&mut wa[..half], &mut wb[..half], &mut wc[..half]],
-                    );
-                }
-                for (w, p) in words.iter().zip(polys) {
-                    for (i, &word) in w[..half].iter().enumerate() {
-                        let (lo, hi) = rlwe_zq::packed::unpack(word);
-                        p[2 * i] = lo;
-                        p[2 * i + 1] = hi;
-                    }
-                }
-                for w in words {
-                    scratch.put(w);
-                }
-            }
-            NttBackend::Swar => {
-                for p in polys {
-                    self.ntt_forward(plan, p, scratch);
-                }
-            }
-        }
-    }
-
-    /// In-place inverse NTT through the configured backend, on the
-    /// dispatched plan.
-    fn ntt_inverse<R: Reducer>(&self, plan: &NttPlan<R>, a: &mut [u32], scratch: &mut PolyScratch) {
-        match self.backend {
-            // SWAR provides a forward transform only; its inverse is the
-            // reference Gentleman-Sande loop.
-            NttBackend::Reference | NttBackend::Swar => plan.inverse(a),
-            NttBackend::Avx2 => plan.inverse_avx2(a),
-            NttBackend::Packed => {
-                let mut w = scratch.take();
-                let half = a.len() / 2;
-                for (i, word) in w[..half].iter_mut().enumerate() {
-                    *word = rlwe_zq::packed::pack(a[2 * i], a[2 * i + 1]);
-                }
-                packed::inverse_packed(plan, &mut w[..half]);
-                for (i, &word) in w[..half].iter().enumerate() {
-                    let (lo, hi) = rlwe_zq::packed::unpack(word);
-                    a[2 * i] = lo;
-                    a[2 * i + 1] = hi;
-                }
-                scratch.put(w);
             }
         }
     }
@@ -903,8 +661,8 @@ impl RlweContext {
         let mut r1 = scratch.take();
         self.sample_error_into(plan.reducer(), &mut bits, &mut r1);
         self.sample_error_into(plan.reducer(), &mut bits, sk.r2_hat.as_mut_slice());
-        self.ntt_forward(plan, &mut r1, scratch);
-        self.ntt_forward(plan, sk.r2_hat.as_mut_slice(), scratch);
+        plan.forward_avx2(&mut r1);
+        plan.forward_avx2(sk.r2_hat.as_mut_slice());
         // p̃ = r̃₁ − ã ∘ r̃₂.
         let mut ar2 = scratch.take();
         pointwise::mul_into(
@@ -935,9 +693,10 @@ impl RlweContext {
     // Encryption
     // ------------------------------------------------------------------
 
-    /// Encryption (§II-A.2): three Gaussian error polynomials, **three
-    /// forward NTTs fused in one loop** (the paper's parallel NTT), two
-    /// pointwise multiply-adds.
+    /// Encryption (§II-A.2): three Gaussian error polynomials, three
+    /// forward NTTs, two pointwise multiply-adds. (The paper fuses the
+    /// three transforms into one loop nest on the Cortex-M4F; that
+    /// reproduction lives in `rlwe_ntt::parallel`.)
     ///
     /// Allocating convenience over [`RlweContext::encrypt_into`].
     ///
@@ -1009,8 +768,8 @@ impl RlweContext {
         with_dispatch!(self, |p| self.encrypt_body(p, pk, msg, rng, ct, scratch))
     }
 
-    /// The monomorphized encryption body: sampling, the fused triple
-    /// forward NTT and both multiply-adds all run on `plan`'s reducer.
+    /// The monomorphized encryption body: sampling, the three forward
+    /// NTTs and both multiply-adds all run on `plan`'s reducer.
     fn encrypt_body<RR: Reducer, R: RngCore + ?Sized>(
         &self,
         plan: &NttPlan<RR>,
@@ -1034,13 +793,15 @@ impl RlweContext {
             self.sample_error_into(plan.reducer(), &mut bits, &mut e3m);
         }
         {
-            // e₃ + m̄ (time domain) becomes the third parallel-NTT operand.
+            // e₃ + m̄ (time domain) becomes the third forward-NTT operand.
             let _span = self.obs.sp_enc_encode.enter();
             encode_message_add_assign(msg, &mut e3m, q);
         }
         {
             let _span = self.obs.sp_enc_ntt.enter();
-            self.ntt_forward3(plan, [&mut e1, &mut e2, &mut e3m], scratch);
+            for e in [&mut e1, &mut e2, &mut e3m] {
+                plan.forward_avx2(e);
+            }
         }
         let _span = self.obs.sp_enc_pointwise.enter();
         // c̃₁ = ã∘ẽ₁ + ẽ₂ ; c̃₂ = p̃∘ẽ₁ + NTT(e₃ + m̄).
@@ -1064,277 +825,6 @@ impl RlweContext {
         scratch.put(e1);
         scratch.put(e2);
         scratch.put(e3m);
-        Ok(())
-    }
-
-    // ------------------------------------------------------------------
-    // Prepared-key encryption
-    // ------------------------------------------------------------------
-
-    /// Precomputes the per-key NTT-domain Shoup tables for `pk` — the
-    /// one-time cost that [`RlweContext::encrypt_prepared_into`] and
-    /// [`RlweContext::encrypt_group_into`] amortize across every
-    /// subsequent encrypt under the same key (see [`PreparedPublicKey`]).
-    ///
-    /// # Errors
-    ///
-    /// [`RlweError::ParamMismatch`] if the key belongs to another set.
-    pub fn prepare_public_key(&self, pk: &PublicKey) -> Result<PreparedPublicKey, RlweError> {
-        if pk.params != self.params {
-            return Err(RlweError::ParamMismatch);
-        }
-        Ok(PreparedPublicKey::build(pk))
-    }
-
-    /// Allocation-free encryption through a prepared key: identical to
-    /// [`RlweContext::encrypt_into`] for the same RNG state — bit for bit
-    /// — but the two key-dependent pointwise products run on the key's
-    /// precomputed Shoup tables instead of re-deriving Barrett reductions
-    /// per coefficient.
-    ///
-    /// # Errors
-    ///
-    /// See [`RlweContext::encrypt_into`].
-    pub fn encrypt_prepared_into<R: RngCore + ?Sized>(
-        &self,
-        prepared: &PreparedPublicKey,
-        msg: &[u8],
-        rng: &mut R,
-        ct: &mut Ciphertext,
-        scratch: &mut PolyScratch,
-    ) -> Result<(), RlweError> {
-        if prepared.params != self.params {
-            return Err(RlweError::ParamMismatch);
-        }
-        if msg.len() != self.params.message_bytes() {
-            return Err(RlweError::MessageLength {
-                got: msg.len(),
-                expected: self.params.message_bytes(),
-            });
-        }
-        self.check_scratch(scratch)?;
-        with_dispatch!(self, |p| self
-            .encrypt_prepared_body(p, prepared, msg, rng, ct, scratch))
-    }
-
-    /// The monomorphized prepared-key encryption body. Sampling, the
-    /// encode and the triple forward NTT are exactly
-    /// [`RlweContext::encrypt_into`]'s; only the pointwise tail differs,
-    /// and its canonical outputs make the paths bit-identical.
-    fn encrypt_prepared_body<RR: Reducer, R: RngCore + ?Sized>(
-        &self,
-        plan: &NttPlan<RR>,
-        prepared: &PreparedPublicKey,
-        msg: &[u8],
-        rng: &mut R,
-        ct: &mut Ciphertext,
-        scratch: &mut PolyScratch,
-    ) -> Result<(), RlweError> {
-        let n = self.params.n();
-        let q = self.params.q();
-        let modulus = self.plan.modulus();
-        let mut bits = BufferedBitSource::buffered(RngWords(rng));
-        let mut e1 = scratch.take();
-        let mut e2 = scratch.take();
-        let mut e3m = scratch.take();
-        {
-            let _span = self.obs.sp_enc_sample.enter();
-            self.sample_error_into(plan.reducer(), &mut bits, &mut e1);
-            self.sample_error_into(plan.reducer(), &mut bits, &mut e2);
-            self.sample_error_into(plan.reducer(), &mut bits, &mut e3m);
-        }
-        {
-            let _span = self.obs.sp_enc_encode.enter();
-            encode_message_add_assign(msg, &mut e3m, q);
-        }
-        {
-            let _span = self.obs.sp_enc_ntt.enter();
-            self.ntt_forward3(plan, [&mut e1, &mut e2, &mut e3m], scratch);
-        }
-        let _span = self.obs.sp_enc_pointwise.enter();
-        // c̃₁ = ã∘ẽ₁ + ẽ₂ ; c̃₂ = p̃∘ẽ₁ + NTT(e₃ + m̄) — fused Shoup
-        // multiply-adds against the per-key tables, written straight
-        // into the ciphertext storage.
-        ct.params = self.params;
-        ct.c1_hat.reset(n, *modulus);
-        ct.c2_hat.reset(n, *modulus);
-        rlwe_zq::shoup::mul_shoup_add_slice(
-            &e1,
-            &prepared.a_val,
-            &prepared.a_comp,
-            &e2,
-            ct.c1_hat.as_mut_slice(),
-            q,
-        );
-        rlwe_zq::shoup::mul_shoup_add_slice(
-            &e1,
-            &prepared.p_val,
-            &prepared.p_comp,
-            &e3m,
-            ct.c2_hat.as_mut_slice(),
-            q,
-        );
-        scratch.put(e1);
-        scratch.put(e2);
-        scratch.put(e3m);
-        Ok(())
-    }
-
-    /// Encrypts up to eight messages under one prepared key with
-    /// **interleaved** forward transforms: the group's error polynomials
-    /// are scattered into 8-lane-interleaved buffers and transformed
-    /// together ([`rlwe_ntt::avx2`]), so each twiddle factor is loaded
-    /// once per eight polynomials instead of once per polynomial.
-    /// `rlwe-engine`'s batch fan-out feeds its per-worker chunks through
-    /// this in groups of eight.
-    ///
-    /// Each message draws from its own RNG, in the same order as
-    /// [`RlweContext::encrypt_into`] — so for the same per-item RNG
-    /// states the group output is bit-identical to per-item encrypts
-    /// (partial groups simply leave the trailing lanes zero).
-    ///
-    /// # Errors
-    ///
-    /// * [`RlweError::Malformed`] if the group is empty, larger than 8,
-    ///   or `msgs`/`rngs`/`cts` lengths disagree.
-    /// * Otherwise as [`RlweContext::encrypt_prepared_into`].
-    pub fn encrypt_group_into<R: RngCore>(
-        &self,
-        prepared: &PreparedPublicKey,
-        msgs: &[&[u8]],
-        rngs: &mut [R],
-        cts: &mut [Ciphertext],
-        scratch: &mut PolyScratch,
-    ) -> Result<(), RlweError> {
-        if prepared.params != self.params {
-            return Err(RlweError::ParamMismatch);
-        }
-        let k = msgs.len();
-        if k == 0 || k > 8 || rngs.len() != k || cts.len() != k {
-            return Err(RlweError::Malformed {
-                reason: format!(
-                    "encrypt group wants 1..=8 equal-length slices, got msgs={k} rngs={} cts={}",
-                    rngs.len(),
-                    cts.len()
-                ),
-            });
-        }
-        for msg in msgs {
-            if msg.len() != self.params.message_bytes() {
-                return Err(RlweError::MessageLength {
-                    got: msg.len(),
-                    expected: self.params.message_bytes(),
-                });
-            }
-        }
-        self.check_scratch(scratch)?;
-        with_dispatch!(self, |p| self
-            .encrypt_group_body(p, prepared, msgs, rngs, cts, scratch))
-    }
-
-    /// The monomorphized group-encryption body: per-item sampling and
-    /// encoding (own RNG each, same draw order as the single-message
-    /// path), three interleaved forward transforms over the whole group,
-    /// then per-item prepared pointwise tails.
-    fn encrypt_group_body<RR: Reducer, R: RngCore>(
-        &self,
-        plan: &NttPlan<RR>,
-        prepared: &PreparedPublicKey,
-        msgs: &[&[u8]],
-        rngs: &mut [R],
-        cts: &mut [Ciphertext],
-        scratch: &mut PolyScratch,
-    ) -> Result<(), RlweError> {
-        let n = self.params.n();
-        let q = self.params.q();
-        let modulus = self.plan.modulus();
-        let k = msgs.len();
-        let mut w1 = scratch.take_wide();
-        let mut w2 = scratch.take_wide();
-        let mut w3 = scratch.take_wide();
-        if k < 8 {
-            // Unused lanes must hold valid (zero) coefficients: the
-            // transform runs on all eight lanes unconditionally.
-            w1.fill(0);
-            w2.fill(0);
-            w3.fill(0);
-        }
-        let mut e1 = scratch.take();
-        let mut e2 = scratch.take();
-        let mut e3m = scratch.take();
-        {
-            let _span = self.obs.sp_enc_sample.enter();
-            if k == 8 {
-                // Fused full-group path: sample all eight lanes directly
-                // into the `8i + j` interleaved layout the transform
-                // wants — no per-lane scatter. Each lane draws only from
-                // its own bit source in the same order as the scatter
-                // path (e1 coefficients, then e2, then e3m), so grouped
-                // output bytes stay identical to sequential encrypts.
-                // panic-allow(the k == 8 branch guard makes the conversion infallible)
-                let rngs8: &mut [R; 8] = rngs.try_into().expect("k == 8");
-                let mut sources = rngs8
-                    .each_mut()
-                    .map(|rng| BufferedBitSource::buffered(RngWords(rng)));
-                self.sample_group_interleaved(plan.reducer(), &mut sources, &mut w1);
-                self.sample_group_interleaved(plan.reducer(), &mut sources, &mut w2);
-                self.sample_group_interleaved(plan.reducer(), &mut sources, &mut w3);
-                for (lane, msg) in msgs.iter().enumerate() {
-                    encode_message_add_assign_strided(msg, &mut w3, lane, q);
-                }
-            } else {
-                for (lane, (msg, rng)) in msgs.iter().zip(rngs.iter_mut()).enumerate() {
-                    let mut bits = BufferedBitSource::buffered(RngWords(rng));
-                    self.sample_error_into(plan.reducer(), &mut bits, &mut e1);
-                    self.sample_error_into(plan.reducer(), &mut bits, &mut e2);
-                    self.sample_error_into(plan.reducer(), &mut bits, &mut e3m);
-                    encode_message_add_assign(msg, &mut e3m, q);
-                    for (wide, poly) in [(&mut w1, &e1), (&mut w2, &e2), (&mut w3, &e3m)] {
-                        for (dst, &src) in wide.iter_mut().skip(lane).step_by(8).zip(poly.iter()) {
-                            *dst = src;
-                        }
-                    }
-                }
-            }
-        }
-        {
-            let _span = self.obs.sp_enc_ntt.enter();
-            self.dispatch.record_interleaved_dispatch();
-            plan.forward_interleaved8(&mut w1);
-            plan.forward_interleaved8(&mut w2);
-            plan.forward_interleaved8(&mut w3);
-        }
-        let _span = self.obs.sp_enc_pointwise.enter();
-        for (lane, ct) in cts.iter_mut().enumerate() {
-            rlwe_ntt::avx2::deinterleave8_lane(&w1, lane, &mut e1);
-            rlwe_ntt::avx2::deinterleave8_lane(&w2, lane, &mut e2);
-            rlwe_ntt::avx2::deinterleave8_lane(&w3, lane, &mut e3m);
-            ct.params = self.params;
-            ct.c1_hat.reset(n, *modulus);
-            ct.c2_hat.reset(n, *modulus);
-            rlwe_zq::shoup::mul_shoup_add_slice(
-                &e1,
-                &prepared.a_val,
-                &prepared.a_comp,
-                &e2,
-                ct.c1_hat.as_mut_slice(),
-                q,
-            );
-            rlwe_zq::shoup::mul_shoup_add_slice(
-                &e1,
-                &prepared.p_val,
-                &prepared.p_comp,
-                &e3m,
-                ct.c2_hat.as_mut_slice(),
-                q,
-            );
-        }
-        scratch.put(e1);
-        scratch.put(e2);
-        scratch.put(e3m);
-        scratch.put_wide(w1);
-        scratch.put_wide(w2);
-        scratch.put_wide(w3);
         Ok(())
     }
 
@@ -1394,7 +884,7 @@ impl RlweContext {
             }
             {
                 let _span = self.obs.sp_dec_ntt.enter();
-                self.ntt_inverse(p, &mut m, scratch);
+                p.inverse_avx2(&mut m);
             }
             {
                 let _span = self.obs.sp_dec_decode.enter();
@@ -1427,8 +917,7 @@ impl RlweContext {
                 p.reducer(),
                 // ct-allow(decode errors depend on ciphertext structure, not the message)
             )?;
-            let mut scratch = self.new_scratch();
-            self.ntt_inverse(p, &mut m, &mut scratch);
+            p.inverse_avx2(&mut m);
             Ok(m)
         })
     }
@@ -1620,214 +1109,58 @@ mod tests {
         let params = Params::custom(512, 8383489, rlwe_sampler::GaussianSpec::p1());
         let other = RlweContext::with_params(params).unwrap();
         assert_eq!(other.reducer_kind(), ReducerKind::Barrett);
-        // The preference knob can force the fallback for ablations.
-        let forced = RlweContext::builder(ParamSet::P1)
-            .reducer_preference(ReducerPreference::Generic)
-            .build()
-            .unwrap();
-        assert_eq!(forced.reducer_kind(), ReducerKind::Barrett);
     }
 
+    /// SHA-256 of `pk ‖ sk ‖ ct` wire bytes for a fixed seed, recorded on
+    /// the scalar reference NTT. Whichever kernel the context selects on
+    /// this host must reproduce them byte for byte.
     #[test]
-    fn specialized_and_generic_contexts_are_bit_identical() {
-        // Same seed, same backend, opposite reducer preference: keys,
-        // ciphertexts and decryptions must agree byte for byte.
-        for set in [ParamSet::P1, ParamSet::P2] {
-            let auto = RlweContext::new(set).unwrap();
-            let generic = RlweContext::builder(set)
-                .reducer_preference(ReducerPreference::Generic)
-                .build()
-                .unwrap();
-            assert_ne!(auto.reducer_kind(), generic.reducer_kind());
-            let mut rng_a = StdRng::seed_from_u64(77);
-            let mut rng_g = StdRng::seed_from_u64(77);
-            let (pk_a, sk_a) = auto.generate_keypair(&mut rng_a).unwrap();
-            let (pk_g, sk_g) = generic.generate_keypair(&mut rng_g).unwrap();
-            assert_eq!(pk_a, pk_g, "{set}: public keys diverged");
-            assert_eq!(
-                sk_a.to_bytes().unwrap(),
-                sk_g.to_bytes().unwrap(),
-                "{set}: secret keys diverged"
-            );
-            let msg = vec![0x3Cu8; auto.params().message_bytes()];
-            let ct_a = auto.encrypt(&pk_a, &msg, &mut rng_a).unwrap();
-            let ct_g = generic.encrypt(&pk_g, &msg, &mut rng_g).unwrap();
-            assert_eq!(
-                ct_a.to_bytes().unwrap(),
-                ct_g.to_bytes().unwrap(),
-                "{set}: ciphertexts diverged"
-            );
-            assert_eq!(
-                auto.decrypt(&sk_a, &ct_g).unwrap(),
-                generic.decrypt(&sk_g, &ct_a).unwrap(),
-                "{set}: cross-decryptions diverged"
-            );
-        }
-    }
-
-    #[test]
-    fn all_backends_agree_bit_for_bit() {
-        // The backend changes the data layout, never the math: the same
-        // seed must produce the same keys and ciphertext bytes.
-        let mut fixtures: Vec<Vec<u8>> = Vec::new();
-        for backend in [
-            NttBackend::Reference,
-            NttBackend::Packed,
-            NttBackend::Swar,
-            NttBackend::Avx2,
-        ] {
-            let ctx = RlweContext::builder(ParamSet::P1)
-                .ntt_backend(backend)
-                .build()
-                .unwrap();
+    fn known_answer_wire_digests() {
+        const WANT: [(ParamSet, &str); 2] = [
+            (
+                ParamSet::P1,
+                "44b538c52d002681e0b5b43bc5cd2ca5a920e655b4854dcd5af344c0193913b1",
+            ),
+            (
+                ParamSet::P2,
+                "5b173a92b1a67f8236af01063a21995c0b526b32a6376a3e6383a0a33e9314bd",
+            ),
+        ];
+        for (set, want) in WANT {
+            let ctx = RlweContext::new(set).unwrap();
             let mut rng = StdRng::seed_from_u64(45);
             let (pk, sk) = ctx.generate_keypair(&mut rng).unwrap();
-            let msg = vec![0x77u8; 32];
+            let msg = vec![0x77u8; ctx.params().message_bytes()];
             let ct = ctx.encrypt(&pk, &msg, &mut rng).unwrap();
-            assert_eq!(ctx.decrypt(&sk, &ct).unwrap(), msg, "{backend:?}");
+            assert_eq!(ctx.decrypt(&sk, &ct).unwrap(), msg);
             let mut wire = pk.to_bytes().unwrap();
             wire.extend(sk.to_bytes().unwrap());
             wire.extend(ct.to_bytes().unwrap());
-            fixtures.push(wire);
+            let got: String = rlwe_hash::Sha256::digest(&wire)
+                .iter()
+                .map(|b| format!("{b:02x}"))
+                .collect();
+            assert_eq!(got, want, "{set} on the {:?} NTT", ctx.backend());
         }
-        assert_eq!(fixtures[0], fixtures[1], "packed backend diverged");
-        assert_eq!(fixtures[0], fixtures[2], "swar backend diverged");
-        assert_eq!(fixtures[0], fixtures[3], "avx2 backend diverged");
     }
 
     #[test]
-    fn avx2_backend_reports_its_labels() {
-        let ctx = RlweContext::builder(ParamSet::P2)
-            .ntt_backend(NttBackend::Avx2)
-            .build()
-            .unwrap();
-        assert_eq!(ctx.backend(), NttBackend::Avx2);
-        assert_eq!(ctx.backend_label(), "avx2");
-        // `has_avx2` reflects runtime host detection; either way the
-        // backend must round-trip (scalar fallback on non-AVX2 hosts).
-        let mut rng = StdRng::seed_from_u64(50);
-        let (pk, sk) = ctx.generate_keypair(&mut rng).unwrap();
-        let msg = vec![0x2Du8; ctx.params().message_bytes()];
-        let ct = ctx.encrypt(&pk, &msg, &mut rng).unwrap();
-        assert_eq!(ctx.decrypt(&sk, &ct).unwrap(), msg);
-    }
-
-    #[test]
-    fn prepared_key_encrypt_is_bit_identical_to_encrypt_into() {
+    fn backend_is_selected_from_the_host() {
         for set in [ParamSet::P1, ParamSet::P2] {
             let ctx = RlweContext::new(set).unwrap();
-            let mut rng = StdRng::seed_from_u64(51);
-            let (pk, sk) = ctx.generate_keypair(&mut rng).unwrap();
-            let prepared = ctx.prepare_public_key(&pk).unwrap();
-            let msg = vec![0x9Eu8; ctx.params().message_bytes()];
-            let mut scratch = ctx.new_scratch();
-            let mut rng_a = StdRng::seed_from_u64(52);
-            let mut rng_b = StdRng::seed_from_u64(52);
-            let mut ct_a = ctx.empty_ciphertext();
-            let mut ct_b = ctx.empty_ciphertext();
-            ctx.encrypt_into(&pk, &msg, &mut rng_a, &mut ct_a, &mut scratch)
-                .unwrap();
-            ctx.encrypt_prepared_into(&prepared, &msg, &mut rng_b, &mut ct_b, &mut scratch)
-                .unwrap();
-            assert_eq!(ct_a, ct_b, "{set}: prepared path diverged");
-            assert_eq!(ctx.decrypt(&sk, &ct_b).unwrap(), msg);
+            let want = if rlwe_ntt::avx2::available() {
+                NttBackend::Avx2
+            } else {
+                NttBackend::Reference
+            };
+            assert_eq!(ctx.backend(), want, "{set}");
+            assert_eq!(ctx.backend_label(), want.label());
         }
-    }
-
-    #[test]
-    fn group_encrypt_is_bit_identical_to_per_item_encrypts() {
-        for (set, k) in [(ParamSet::P1, 8usize), (ParamSet::P2, 8), (ParamSet::P1, 3)] {
-            let ctx = RlweContext::new(set).unwrap();
-            let mut rng = StdRng::seed_from_u64(53);
-            let (pk, sk) = ctx.generate_keypair(&mut rng).unwrap();
-            let prepared = ctx.prepare_public_key(&pk).unwrap();
-            let msgs: Vec<Vec<u8>> = (0..k)
-                .map(|i| vec![0x11u8.wrapping_mul(i as u8 + 1); ctx.params().message_bytes()])
-                .collect();
-            let msg_refs: Vec<&[u8]> = msgs.iter().map(|m| m.as_slice()).collect();
-            let mut scratch = ctx.new_scratch();
-            // Per-item references through the plain path.
-            let mut want = Vec::new();
-            for (i, msg) in msgs.iter().enumerate() {
-                let mut rng_i = StdRng::seed_from_u64(100 + i as u64);
-                let mut ct = ctx.empty_ciphertext();
-                ctx.encrypt_into(&pk, msg, &mut rng_i, &mut ct, &mut scratch)
-                    .unwrap();
-                want.push(ct);
-            }
-            // The same RNG states through the grouped path.
-            let mut rngs: Vec<StdRng> = (0..k)
-                .map(|i| StdRng::seed_from_u64(100 + i as u64))
-                .collect();
-            let mut cts: Vec<Ciphertext> = (0..k).map(|_| ctx.empty_ciphertext()).collect();
-            ctx.encrypt_group_into(&prepared, &msg_refs, &mut rngs, &mut cts, &mut scratch)
-                .unwrap();
-            assert_eq!(cts, want, "{set} k={k}: grouped path diverged");
-            for (ct, msg) in cts.iter().zip(&msgs) {
-                assert_eq!(&ctx.decrypt(&sk, ct).unwrap(), msg);
-            }
-        }
-    }
-
-    #[test]
-    fn group_encrypt_validates_its_inputs() {
-        let ctx = ctx_p1();
-        let mut rng = StdRng::seed_from_u64(54);
-        let (pk, _) = ctx.generate_keypair(&mut rng).unwrap();
-        let prepared = ctx.prepare_public_key(&pk).unwrap();
-        let mut scratch = ctx.new_scratch();
-        let msg = vec![0u8; 32];
-        let mut rngs = vec![StdRng::seed_from_u64(0)];
-        let mut cts = vec![ctx.empty_ciphertext()];
-        // Empty group.
-        assert!(matches!(
-            ctx.encrypt_group_into(
-                &prepared,
-                &[],
-                &mut [] as &mut [StdRng],
-                &mut [],
-                &mut scratch
-            ),
-            Err(RlweError::Malformed { .. })
-        ));
-        // Mismatched slice lengths.
-        assert!(matches!(
-            ctx.encrypt_group_into(&prepared, &[&msg, &msg], &mut rngs, &mut cts, &mut scratch),
-            Err(RlweError::Malformed { .. })
-        ));
-        // Oversized group.
-        let nine: Vec<&[u8]> = (0..9).map(|_| msg.as_slice()).collect();
-        let mut rngs9: Vec<StdRng> = (0..9).map(StdRng::seed_from_u64).collect();
-        let mut cts9: Vec<Ciphertext> = (0..9).map(|_| ctx.empty_ciphertext()).collect();
-        assert!(matches!(
-            ctx.encrypt_group_into(&prepared, &nine, &mut rngs9, &mut cts9, &mut scratch),
-            Err(RlweError::Malformed { .. })
-        ));
-        // Wrong message length.
-        let short = vec![0u8; 31];
-        assert!(matches!(
-            ctx.encrypt_group_into(&prepared, &[&short], &mut rngs, &mut cts, &mut scratch),
-            Err(RlweError::MessageLength { .. })
-        ));
-    }
-
-    #[test]
-    fn builder_rejects_wide_moduli_for_lane_backends() {
-        // 65537 is an NTT-friendly prime for n = 2048, but its residues
-        // overflow the 16-bit lanes of the packed layout and the 15-bit
-        // headroom SWAR's carryless addition needs.
-        let params = Params::custom(2048, 65537, rlwe_sampler::GaussianSpec::p1());
-        for backend in [NttBackend::Packed, NttBackend::Swar] {
-            let err = RlweContextBuilder::with_params(params)
-                .ntt_backend(backend)
-                .build()
-                .unwrap_err();
-            assert!(matches!(err, RlweError::Malformed { .. }), "{backend:?}");
-        }
-        assert!(RlweContextBuilder::with_params(params)
-            .ntt_backend(NttBackend::Reference)
-            .build()
-            .is_ok());
+        // Rings below the eight-lane kernels' minimum run the reference
+        // transform on every host.
+        let tiny = Params::custom(8, 12289, rlwe_sampler::GaussianSpec::p1());
+        let ctx = RlweContext::with_params(tiny).unwrap();
+        assert_eq!(ctx.backend(), NttBackend::Reference);
     }
 
     #[test]

@@ -13,12 +13,7 @@
 
 use rlwe_core::drbg::HashDrbg;
 use rlwe_core::kem::SharedSecret;
-use rlwe_core::{Ciphertext, PreparedPublicKey, PublicKey, RlweContext, RlweError, SecretKey};
-
-/// Items per interleaved transform group — the lane count of
-/// `rlwe_ntt::avx2`'s 8-way interleaved layout that
-/// [`RlweContext::encrypt_group_into`] transforms in one pass.
-pub const ENCRYPT_GROUP: usize = 8;
+use rlwe_core::{Ciphertext, PublicKey, RlweContext, RlweError, SecretKey};
 
 /// Runs `f` over `items`, fanned across at most `workers` OS threads,
 /// preserving item order in the result.
@@ -225,72 +220,6 @@ pub fn encrypt_batch_into(
             ctx.encrypt_into(pk, msg.as_ref(), &mut rng, ct, scratch)
         },
     ))
-}
-
-/// Allocation-free batched encryption through a **prepared key** and
-/// **interleaved transform groups**: items are split into chunks of
-/// [`ENCRYPT_GROUP`], each chunk's error polynomials are transformed
-/// together in the 8-lane interleaved layout (amortizing twiddle loads
-/// across the group), and the key-dependent pointwise products run on
-/// `prepared`'s per-key Shoup tables. Item `i` still draws from
-/// `HashDrbg::for_stream(master_seed, i)`, so the output is bit-identical
-/// to [`encrypt_batch_into`] with the same seed, for any worker count.
-///
-/// A group containing a malformed message falls back to per-item
-/// prepared encrypts (same per-item DRBG streams, so still
-/// bit-identical) to keep batch semantics: errors stay per item.
-///
-/// # Errors
-///
-/// [`RlweError::Malformed`] if `out.len() != msgs.len()`;
-/// [`RlweError::ParamMismatch`] if the prepared key belongs to another
-/// parameter set.
-pub fn encrypt_batch_prepared_into(
-    ctx: &RlweContext,
-    prepared: &PreparedPublicKey,
-    msgs: &[impl AsRef<[u8]> + Sync],
-    master_seed: &[u8; 32],
-    workers: usize,
-    out: &mut [Ciphertext],
-) -> Result<Vec<Result<(), RlweError>>, RlweError> {
-    check_slot_count(out.len(), msgs.len())?;
-    if prepared.params() != *ctx.params() {
-        return Err(RlweError::ParamMismatch);
-    }
-    let msg_groups: Vec<_> = msgs.chunks(ENCRYPT_GROUP).collect();
-    let mut out_groups: Vec<&mut [Ciphertext]> = out.chunks_mut(ENCRYPT_GROUP).collect();
-    let per_group = fan_out_into(
-        &msg_groups,
-        &mut out_groups,
-        workers,
-        || ctx.new_scratch(),
-        |scratch, gi, group, slots| {
-            let base = gi * ENCRYPT_GROUP;
-            let k = group.len();
-            // Stack-allocated DRBG bank: lanes beyond the group are
-            // derived but never drawn from.
-            let mut rngs: [HashDrbg; ENCRYPT_GROUP] =
-                std::array::from_fn(|j| HashDrbg::for_stream(master_seed, (base + j) as u64));
-            let refs: Vec<&[u8]> = group.iter().map(|m| m.as_ref()).collect();
-            // ct-allow(group errors are structural message-length failures, visible in the result shape)
-            match ctx.encrypt_group_into(prepared, &refs, &mut rngs[..k], slots, scratch) {
-                Ok(()) => vec![Ok(()); k],
-                // Per-item fallback: fresh DRBGs from the same streams,
-                // so good items stay bit-identical and bad ones report
-                // their own error.
-                Err(_) => refs
-                    .iter()
-                    .zip(slots.iter_mut())
-                    .enumerate()
-                    .map(|(j, (msg, ct))| {
-                        let mut rng = HashDrbg::for_stream(master_seed, (base + j) as u64);
-                        ctx.encrypt_prepared_into(prepared, msg, &mut rng, ct, scratch)
-                    })
-                    .collect(),
-            }
-        },
-    );
-    Ok(per_group.into_iter().flatten().collect())
 }
 
 /// Decrypts `cts` under `sk` (deterministic; no seed needed).
@@ -572,54 +501,6 @@ mod tests {
         assert!(statuses.iter().all(|s| s.is_ok()));
         let good = plain.iter().zip(&msgs).filter(|(g, w)| g == w).count();
         assert!(good >= 8, "only {good}/10 round-tripped");
-    }
-
-    #[test]
-    fn prepared_grouped_batch_is_bit_identical_to_the_plain_batch() {
-        let ctx = ctx();
-        let (pk, _) = keypair(&ctx);
-        let prepared = ctx.prepare_public_key(&pk).unwrap();
-        // 19 items: two full groups of eight plus a partial group of three.
-        let msgs: Vec<Vec<u8>> = (0..19u8).map(|i| vec![i.wrapping_mul(41); 32]).collect();
-        let master = [12u8; 32];
-        let mut want: Vec<Ciphertext> = (0..msgs.len()).map(|_| ctx.empty_ciphertext()).collect();
-        encrypt_batch_into(&ctx, &pk, &msgs, &master, 3, &mut want).unwrap();
-        for workers in [1usize, 2, 4] {
-            let mut got: Vec<Ciphertext> =
-                (0..msgs.len()).map(|_| ctx.empty_ciphertext()).collect();
-            let statuses =
-                encrypt_batch_prepared_into(&ctx, &prepared, &msgs, &master, workers, &mut got)
-                    .unwrap();
-            assert!(statuses.iter().all(|s| s.is_ok()));
-            assert_eq!(got, want, "workers={workers}: grouped path diverged");
-        }
-    }
-
-    #[test]
-    fn prepared_grouped_batch_reports_per_item_errors() {
-        let ctx = ctx();
-        let (pk, _) = keypair(&ctx);
-        let prepared = ctx.prepare_public_key(&pk).unwrap();
-        // A malformed message in the middle of a group must fail alone.
-        let mut msgs: Vec<Vec<u8>> = (0..8u8).map(|i| vec![i; 32]).collect();
-        msgs[3] = vec![0u8; 31];
-        let master = [13u8; 32];
-        let mut out: Vec<Ciphertext> = (0..8).map(|_| ctx.empty_ciphertext()).collect();
-        let statuses =
-            encrypt_batch_prepared_into(&ctx, &prepared, &msgs, &master, 2, &mut out).unwrap();
-        for (i, s) in statuses.iter().enumerate() {
-            if i == 3 {
-                assert!(matches!(s, Err(RlweError::MessageLength { .. })));
-            } else {
-                assert!(s.is_ok(), "item {i} poisoned by its group");
-            }
-        }
-        // Good items in the degraded group still match the plain path.
-        let mut want: Vec<Ciphertext> = (0..8).map(|_| ctx.empty_ciphertext()).collect();
-        let _ = encrypt_batch_into(&ctx, &pk, &msgs, &master, 1, &mut want).unwrap();
-        for i in [0usize, 1, 2, 4, 5, 6, 7] {
-            assert_eq!(out[i], want[i], "item {i} diverged in the fallback");
-        }
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! [`ParamSet`] so a million requests share two table builds, and clones
 //! of the `Arc` can be handed to worker threads without copying tables.
 
-use rlwe_core::{NttBackend, ParamSet, RlweContext, RlweError, SamplerKind};
+use rlwe_core::{ParamSet, RlweContext, RlweError, SamplerKind};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
@@ -47,9 +47,10 @@ fn pool_obs(set: ParamSet) -> &'static PoolObs {
     &all[slot_index(set)]
 }
 
-/// Non-default context knobs a pooled context can be built with: the NTT
-/// backend and the sampler rung (notably [`SamplerKind::CtCdt`], the
-/// constant-time rung a decapsulation server wants).
+/// The one context knob a pooled context can be built with: the sampler
+/// rung (notably [`SamplerKind::CtCdt`], the constant-time rung a
+/// decapsulation server wants). The NTT kernel is not a knob — every
+/// context picks it from the host.
 ///
 /// The default config is what [`ContextPool::get`] serves; every distinct
 /// config gets its own cached context per parameter set, so a process can
@@ -57,8 +58,6 @@ fn pool_obs(set: ParamSet) -> &'static PoolObs {
 /// encryption pool without rebuilding tables per request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct ContextConfig {
-    /// NTT backend selection (see [`NttBackend`]; all bit-identical).
-    pub backend: NttBackend,
     /// Sampler rung drawing the error polynomials (see [`SamplerKind`]).
     pub sampler: SamplerKind,
 }
@@ -69,11 +68,9 @@ impl ContextConfig {
         Self::default()
     }
 
-    /// The constant-time serving configuration: [`SamplerKind::CtCdt`]
-    /// with the reference NTT backend.
+    /// The constant-time serving configuration: [`SamplerKind::CtCdt`].
     pub fn constant_time() -> Self {
         Self {
-            backend: NttBackend::Reference,
             sampler: SamplerKind::CtCdt,
         }
     }
@@ -150,13 +147,13 @@ impl ContextPool {
     }
 
     /// The shared context for `(set, config)`, building it on first use —
-    /// how an engine selects the constant-time sampler rung (or a
-    /// non-default NTT backend) while still sharing tables process-wide.
+    /// how an engine selects the constant-time sampler rung while still
+    /// sharing tables process-wide.
     ///
     /// # Errors
     ///
-    /// Propagates context construction failures (e.g. a lane-layout
-    /// backend combined with a too-wide modulus).
+    /// Propagates context construction failures (cannot happen for the
+    /// named parameter sets, which are known-good).
     pub fn get_with(
         &self,
         set: ParamSet,
@@ -181,12 +178,7 @@ impl ContextPool {
         // loser's context is dropped — a rarer and cheaper cost than a
         // process-wide stall.
         let t0 = Instant::now();
-        let built = Arc::new(
-            RlweContext::builder(set)
-                .ntt_backend(config.backend)
-                .sampler(config.sampler)
-                .build()?,
-        );
+        let built = Arc::new(RlweContext::builder(set).sampler(config.sampler).build()?);
         obs.build_ns.record(t0.elapsed());
         let mut custom = self.custom.lock().expect("context pool lock poisoned");
         if let Some((_, ctx)) = custom.iter().find(|(k, _)| *k == key) {
@@ -304,9 +296,10 @@ mod tests {
         // The CI-pinned dispatch gate: every pooled P1/P2 context —
         // default and custom config alike — must run on the
         // monomorphized special-prime reducer, never the generic
-        // Barrett fallback. A regression here silently costs the whole
-        // serving layer the specialized kernels.
-        use rlwe_core::ReducerKind;
+        // Barrett fallback, and on the AVX2 NTT whenever the host has
+        // it. A regression here silently costs the whole serving layer
+        // the specialized kernels.
+        use rlwe_core::{NttBackend, ReducerKind};
         let pool = ContextPool::new();
         assert_eq!(
             pool.get(ParamSet::P1).unwrap().reducer_kind(),
@@ -316,6 +309,7 @@ mod tests {
             pool.get(ParamSet::P2).unwrap().reducer_kind(),
             ReducerKind::Q12289
         );
+        let avx2 = rlwe_ntt::avx2::available();
         for set in [ParamSet::P1, ParamSet::P2] {
             let ct = pool.get_with(set, ContextConfig::constant_time()).unwrap();
             assert_ne!(
@@ -323,6 +317,13 @@ mod tests {
                 ReducerKind::Barrett,
                 "{set}: constant-time config lost the specialized plan"
             );
+            for ctx in [pool.get(set).unwrap(), ct] {
+                assert_eq!(
+                    ctx.backend() == NttBackend::Avx2,
+                    avx2,
+                    "{set}: NTT backend does not follow host AVX2 support"
+                );
+            }
         }
     }
 

@@ -167,105 +167,4 @@ fn into_paths_are_polynomial_allocation_free_after_warm_up() {
     for (a, b) in cts.iter().zip(&out) {
         assert_eq!(a, b, "batch _into output must match the allocating path");
     }
-
-    // --- Cached-key path: zero poly allocations per op after the
-    // per-key warm-up (which builds the Shoup tables once). ---
-    let prepared = ctx.prepare_public_key(&pk).unwrap();
-    // Warm-up populates the scratch arena, the wide interleave buffers
-    // and the ciphertext storage.
-    ctx.encrypt_prepared_into(
-        &prepared,
-        &msgs[0],
-        &mut HashDrbg::for_stream(&master, 0),
-        &mut ct,
-        &mut scratch,
-    )
-    .unwrap();
-    let (_, prep_poly) = counted(|| {
-        for (i, msg) in msgs.iter().enumerate() {
-            let mut item_rng = HashDrbg::for_stream(&master, i as u64);
-            ctx.encrypt_prepared_into(&prepared, msg, &mut item_rng, &mut ct, &mut scratch)
-                .unwrap();
-        }
-    });
-    assert_eq!(
-        prep_poly, 0,
-        "encrypt_prepared_into made {prep_poly} polynomial-sized allocations across {ITEMS} items"
-    );
-
-    // --- Grouped interleaved path through the engine cache: after the
-    // first batch (and the cached key build), a whole batch costs only
-    // the per-batch worker scratch — O(1) polynomial allocations per
-    // batch, zero per item or per group. ---
-    let engine = rlwe_engine::Engine::builder(ParamSet::P1)
-        .workers(1)
-        .private_pool()
-        .build()
-        .unwrap();
-    let ectx = std::sync::Arc::clone(engine.context());
-    let mut erng = HashDrbg::new([1u8; 32]);
-    let (epk, _) = ectx.generate_keypair(&mut erng).unwrap();
-    let mut grouped_out: Vec<_> = (0..ITEMS).map(|_| ectx.empty_ciphertext()).collect();
-    // Warm-up builds and caches the prepared key.
-    engine
-        .encrypt_batch_cached(&epk, &msgs, &master, &mut grouped_out)
-        .unwrap();
-    let (_, grouped_poly) = counted(|| {
-        engine
-            .encrypt_batch_cached(&epk, &msgs, &master, &mut grouped_out)
-            .unwrap();
-    });
-    // Per batch: one worker-local PolyScratch (base polynomial buffers)
-    // plus its three 8n-wide interleave buffers — a constant, not a
-    // function of ITEMS (32 items = 4 groups here).
-    assert!(
-        grouped_poly <= 8,
-        "cached grouped batch of {ITEMS} made {grouped_poly} polynomial-sized \
-         allocations (must be O(1) per batch, not O(items))"
-    );
-    // And the cached path reproduced the plain batch bit-for-bit.
-    let mut plain_out: Vec<_> = (0..ITEMS).map(|_| ectx.empty_ciphertext()).collect();
-    rlwe_engine::encrypt_batch_into(&ectx, &epk, &msgs, &master, 1, &mut plain_out).unwrap();
-    assert_eq!(grouped_out, plain_out, "cached grouped path changed bytes");
-
-    // --- Fused full-group path, measured directly: a warm
-    // `encrypt_group_into` with k = 8 samples lane-wise straight into the
-    // interleaved wide buffers (no per-lane scatter) and must perform
-    // ZERO polynomial-sized allocations per group — the bulk bit-source
-    // refill lives in a stack array, not on the heap. ---
-    let eprepared = ectx.prepare_public_key(&epk).unwrap();
-    let mut escratch = ectx.new_scratch();
-    let group_msgs: Vec<&[u8]> = msgs[..8].iter().map(|m| m.as_slice()).collect();
-    let mut group_rngs: Vec<HashDrbg> = (0..8).map(|i| HashDrbg::for_stream(&master, i)).collect();
-    let mut group_cts: Vec<_> = (0..8).map(|_| ectx.empty_ciphertext()).collect();
-    ectx.encrypt_group_into(
-        &eprepared,
-        &group_msgs,
-        &mut group_rngs,
-        &mut group_cts,
-        &mut escratch,
-    )
-    .unwrap();
-    let (_, fused_poly) = counted(|| {
-        for _ in 0..4 {
-            // Reseeding in place moves fresh DRBG state into the existing
-            // Vec storage — the counted region itself allocates nothing.
-            for (i, rng) in group_rngs.iter_mut().enumerate() {
-                *rng = HashDrbg::for_stream(&master, i as u64);
-            }
-            ectx.encrypt_group_into(
-                &eprepared,
-                &group_msgs,
-                &mut group_rngs,
-                &mut group_cts,
-                &mut escratch,
-            )
-            .unwrap();
-        }
-    });
-    assert_eq!(
-        fused_poly, 0,
-        "warm fused encrypt_group_into made {fused_poly} polynomial-sized \
-         allocations across 4 groups (must be zero)"
-    );
 }

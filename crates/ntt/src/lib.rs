@@ -7,12 +7,16 @@
 //! the butterflies — the `w = √w_m` recurrence of the paper's Algorithms
 //! 3 and 4.
 //!
-//! Three functionally identical transform implementations are provided,
-//! mirroring the paper's optimisation ladder:
+//! Functionally identical transform implementations are provided: the
+//! two the scheme runs, and the paper's optimisation ladder, which the
+//! table binaries and the Cortex-M4F cost model reproduce:
 //!
 //! * [`NttPlan::forward`] / [`NttPlan::inverse`] — the reference scalar
 //!   in-place transforms (Cooley-Tukey decimation-in-time forward, natural →
 //!   bit-reversed order; Gentleman-Sande inverse back to natural order).
+//! * [`NttPlan::forward_avx2`] / [`NttPlan::inverse_avx2`] — the same
+//!   transforms eight lanes wide ([`avx2`]) when the host has AVX2, the
+//!   reference otherwise. `rlwe-core`'s context always calls these.
 //! * [`packed`] — the paper's §III-D layout: **two coefficients per 32-bit
 //!   word**, inner loop unrolled by two, halving memory accesses. The last
 //!   forward stage (span 1) becomes an intra-word butterfly — this is the
@@ -21,7 +25,7 @@
 //!   the same loop nest so twiddle loads and loop overhead are shared
 //!   (§III-D, measured at 8.3% faster than three separate NTTs).
 //!
-//! All three variants share the same **lazy-reduction butterfly** core
+//! All variants share the same **lazy-reduction butterfly** core
 //! (`rlwe_zq::lazy`, Harvey-style): coefficients travel unreduced in
 //! `[0, 2q)`/`[0, 4q)` across stages, the few surviving corrections are
 //! masked (branch-free, cmov-independent), and canonical `[0, q)` is

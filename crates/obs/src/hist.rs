@@ -1,18 +1,21 @@
 //! Sharded lock-free nanosecond histograms with consistent snapshots.
 //!
-//! Generalizes `rlwe-engine`'s original `LatencyHistogram` (32
-//! power-of-two *microsecond* buckets) to nanosecond resolution with
-//! within-bucket interpolated quantiles, and fixes its snapshot-skew
-//! design flaw at the type level: all statistics are derived from one
-//! [`HistogramSnapshot`], a single pass over the cells, so a concurrent
-//! reader can never observe a count/sum/quantile triple that mixes two
-//! points in time more than one relaxed-load sweep apart.
+//! Power-of-two nanosecond buckets with within-bucket interpolated
+//! quantiles. All statistics are derived from one [`HistogramSnapshot`],
+//! a single pass over the cells, so a concurrent reader always sees the
+//! count, sum and quantiles of one set of completed records. This is the
+//! workspace's only histogram: registry series and `rlwe-engine`'s
+//! per-engine report cells are both instances of it.
 //!
 //! Recording is a shard pick (thread-local, assigned round-robin on
-//! first use) plus two relaxed `fetch_add`s — no locks, no CAS loops.
+//! first use) plus four `fetch_add`s — no locks, no CAS loops. Two of
+//! them bracket the cell updates (`started` / `finished`), so a snapshot
+//! can tell whether a writer was mid-update while it read a shard and
+//! re-read that shard if so: count and sum always come from the same
+//! set of completed records.
 
 use std::fmt;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{fence, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -27,15 +30,61 @@ pub const BUCKETS: usize = 40;
 const SHARDS: usize = 8;
 
 struct Shard {
+    /// Records that have begun updating the cells below.
+    started: AtomicU64,
     counts: [AtomicU64; BUCKETS],
     sum_ns: AtomicU64,
+    /// Records whose cell updates are complete.
+    finished: AtomicU64,
 }
 
 impl Shard {
     fn new() -> Self {
         Self {
+            started: AtomicU64::new(0),
             counts: std::array::from_fn(|_| AtomicU64::new(0)),
             sum_ns: AtomicU64::new(0),
+            finished: AtomicU64::new(0),
+        }
+    }
+
+    /// One record: `started`, then the cells, then `finished`. The
+    /// Release fence orders `started` before the cell updates and pairs
+    /// with the Acquire fence in [`Shard::read_into`]; the Release add on
+    /// `finished` pairs with that function's Acquire load of it.
+    fn record(&self, bucket: usize, ns: u64) {
+        self.started.fetch_add(1, Ordering::Relaxed);
+        fence(Ordering::Release);
+        self.counts[bucket].fetch_add(1, Ordering::Relaxed);
+        self.sum_ns.fetch_add(ns, Ordering::Relaxed);
+        self.finished.fetch_add(1, Ordering::Release);
+    }
+
+    /// Adds this shard's cells into `counts` and returns its sum. The
+    /// read is retried until no record was in flight during it — the
+    /// same protocol as a sequence lock, with `finished` read before the
+    /// cells and `started` after them.
+    fn read_into(&self, counts: &mut [u64; BUCKETS]) -> u64 {
+        let mut spins = 0u32;
+        loop {
+            let done = self.finished.load(Ordering::Acquire);
+            let mut local = [0u64; BUCKETS];
+            for (acc, cell) in local.iter_mut().zip(self.counts.iter()) {
+                *acc = cell.load(Ordering::Relaxed);
+            }
+            let sum = self.sum_ns.load(Ordering::Relaxed);
+            fence(Ordering::Acquire);
+            if self.started.load(Ordering::Relaxed) == done {
+                for (acc, c) in counts.iter_mut().zip(local) {
+                    *acc += c;
+                }
+                return sum;
+            }
+            spins += 1;
+            if spins.is_multiple_of(64) {
+                // A writer was preempted mid-record; let it finish.
+                std::thread::yield_now();
+            }
         }
     }
 }
@@ -106,12 +155,10 @@ impl Histogram {
         (lo, 1u64 << (i + 1))
     }
 
-    /// Records one value in nanoseconds: two relaxed atomic adds.
+    /// Records one value in nanoseconds: four atomic adds on one shard.
     #[inline]
     pub fn record_ns(&self, ns: u64) {
-        let shard = &self.shards[shard_index()];
-        shard.counts[Self::bucket(ns)].fetch_add(1, Ordering::Relaxed);
-        shard.sum_ns.fetch_add(ns, Ordering::Relaxed);
+        self.shards[shard_index()].record(Self::bucket(ns), ns);
     }
 
     /// Records one duration (saturating at `u64::MAX` ns ≈ 584 years).
@@ -120,18 +167,16 @@ impl Histogram {
         self.record_ns(d.as_nanos().min(u64::MAX as u128) as u64)
     }
 
-    /// One consistent point-in-time copy: a single sweep over all
-    /// shards. Every statistic ([`HistogramSnapshot::len`],
-    /// [`HistogramSnapshot::mean_ns`], [`HistogramSnapshot::quantile_ns`])
-    /// is derived from this copy, never from a re-scan of the live cells.
+    /// One consistent copy: a single sweep over all shards, each shard
+    /// read while no record was in flight on it. Every statistic
+    /// ([`HistogramSnapshot::len`], [`HistogramSnapshot::mean_ns`],
+    /// [`HistogramSnapshot::quantile_ns`]) is derived from this copy,
+    /// never from a re-scan of the live cells.
     pub fn snapshot(&self) -> HistogramSnapshot {
         let mut counts = [0u64; BUCKETS];
         let mut sum_ns = 0u64;
         for shard in self.shards.iter() {
-            for (acc, cell) in counts.iter_mut().zip(shard.counts.iter()) {
-                *acc += cell.load(Ordering::Relaxed);
-            }
-            sum_ns = sum_ns.wrapping_add(shard.sum_ns.load(Ordering::Relaxed));
+            sum_ns = sum_ns.wrapping_add(shard.read_into(&mut counts));
         }
         let count = counts.iter().sum();
         HistogramSnapshot {

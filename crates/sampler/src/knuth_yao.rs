@@ -354,64 +354,6 @@ impl KnuthYao {
         self.walk_from(LUT1_LEVELS + LUT2_LEVELS, (e2 & 0x7F) as i64, bits)
     }
 
-    /// Lane-parallel fast path over eight independent bit sources: the
-    /// LUT1 probes for all eight lanes are batched (index draws, then a
-    /// tight table-gather — the ≈97% hit path), with per-lane completion
-    /// (sign bit, or the LUT2/bit-scan slow path) in lane order. Each
-    /// lane draws only from its own source, and per source the draw
-    /// order is exactly [`KnuthYao::sample_lut`]'s — 8 index bits, then
-    /// that sample's remaining bits — so lane `j`'s output equals a
-    /// sequential `sample_lut` over `sources[j]`.
-    pub fn sample_lanes8<B: BitSource>(&self, sources: &mut [B; 8]) -> [SignedSample; 8] {
-        let mut e = [0u8; 8];
-        for (j, src) in sources.iter_mut().enumerate() {
-            e[j] = self.lut1[src.take_bits(LUT1_LEVELS as u32) as usize];
-        }
-        std::array::from_fn(|j| {
-            let src = &mut sources[j];
-            if e[j] & 0x80 == 0 {
-                let negative = src.take_bit() == 1;
-                SignedSample::new(e[j] as u16, negative)
-            } else {
-                self.finish_lut_miss((e[j] & 0x7F) as u32, src)
-            }
-        })
-    }
-
-    /// Lane-wise fill of an eight-way coefficient-interleaved buffer
-    /// (`wide[8·i + j]` = coefficient `i` of lane `j`, drawn from
-    /// `sources[j]`), with the sign applied via the masked
-    /// [`Reducer::signed_residue`]. Per-lane output is bit-identical to
-    /// a sequential [`KnuthYao::sample_poly_reduced_into`] over that
-    /// lane's source.
-    ///
-    /// The fill is **lane-major**: lane `j`'s whole run completes
-    /// before lane `j+1` starts, writing straight to the strided
-    /// `8·i + j` positions. Running each lane's [`KnuthYao::sample_lut`]
-    /// loop back to back keeps its branch history warm — a
-    /// sample-major round-robin over eight sampler states measures
-    /// ~60% slower per sample — and skips the contiguous-then-scatter
-    /// intermediate buffer entirely. Each lane draws only from its own
-    /// source, in exactly the sequential order, so the draw-order
-    /// contract is per source, not global.
-    ///
-    /// # Panics
-    ///
-    /// If `wide.len()` is not a multiple of 8.
-    pub fn sample_interleaved8_reduced_into<R: Reducer, B: BitSource>(
-        &self,
-        r: &R,
-        sources: &mut [B; 8],
-        wide: &mut [u32],
-    ) {
-        assert_eq!(wide.len() % 8, 0, "interleaved buffer must be 8-way");
-        for (j, src) in sources.iter_mut().enumerate() {
-            for w in wide.iter_mut().skip(j).step_by(8) {
-                *w = self.sample_lut(src).to_zq_with(r);
-            }
-        }
-    }
-
     /// Samples `n` coefficients directly as residues modulo `q` (the error
     /// polynomial generation step: each key generation draws 2n of these,
     /// each encryption 3n).
@@ -607,29 +549,6 @@ mod tests {
             (var / sigma2 - 1.0).abs() < 0.05,
             "variance {var} vs sigma^2 {sigma2}"
         );
-    }
-
-    #[test]
-    fn lane_parallel_lut_fill_matches_per_lane_sequential() {
-        // Eight independent sources: lane j of the interleaved fill must
-        // equal a sequential reduced fill from sources[j] alone, with
-        // identical bit consumption — the fused grouped-encrypt
-        // invariant at the sampler layer.
-        let ky = sampler();
-        let r = rlwe_zq::reduce::Q7681;
-        let n = 40;
-        let mut lanes: [BufferedBitSource<SplitMix64>; 8] =
-            std::array::from_fn(|j| BufferedBitSource::new(SplitMix64::new(77 + j as u64)));
-        let mut seq_lanes = lanes.clone();
-        let mut wide = vec![0u32; 8 * n];
-        ky.sample_interleaved8_reduced_into(&r, &mut lanes, &mut wide);
-        for (j, src) in seq_lanes.iter_mut().enumerate() {
-            let mut lane = vec![0u32; n];
-            ky.sample_poly_reduced_into(&r, src, &mut lane);
-            let gathered: Vec<u32> = (0..n).map(|i| wide[8 * i + j]).collect();
-            assert_eq!(gathered, lane, "lane {j}");
-            assert_eq!(src.bits_drawn(), lanes[j].bits_drawn(), "lane {j} bits");
-        }
     }
 
     #[test]

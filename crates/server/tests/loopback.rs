@@ -152,6 +152,21 @@ fn thirty_two_concurrent_clients_with_live_metrics_scrapes() {
     ] {
         assert!(body.contains(needle), "missing {needle} in:\n{body}");
     }
+    // The contexts behind the server picked their NTT from the host:
+    // every KEM latency series carries that one backend label.
+    let backend = if rlwe_ntt::avx2::available() {
+        r#"ntt_backend="avx2""#
+    } else {
+        r#"ntt_backend="reference""#
+    };
+    let kem: Vec<&str> = body
+        .lines()
+        .filter(|l| l.starts_with("rlwe_kem_op_ns"))
+        .collect();
+    assert!(!kem.is_empty(), "no rlwe_kem_op_ns series in:\n{body}");
+    for line in kem {
+        assert!(line.contains(backend), "expected {backend} on {line}");
+    }
 
     handle.shutdown();
 }

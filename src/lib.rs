@@ -9,7 +9,8 @@
 //!
 //! * [`zq`] — modular arithmetic over NTT-friendly primes.
 //! * [`bigfix`] — high-precision fixed point (Gaussian probabilities).
-//! * [`ntt`] — negacyclic NTT engine (reference / packed / parallel),
+//! * [`ntt`] — negacyclic NTT engine (reference / AVX2, plus the paper's
+//!   packed / parallel kernels),
 //!   plus schoolbook and Karatsuba baselines.
 //! * [`sampler`] — Knuth-Yao discrete Gaussian sampling with the paper's
 //!   full optimisation ladder, CDT/rejection baselines, a constant-time
@@ -47,9 +48,10 @@
 //!
 //! # Quickstart
 //!
-//! Contexts are configured through the builder: pick a parameter set, an
-//! NTT backend (reference / packed / SWAR — all bit-identical) and a
-//! Knuth-Yao sampler variant, then encrypt. Keys and ciphertexts store
+//! Contexts are configured through the builder: pick a parameter set and a
+//! sampler variant, then encrypt. The NTT is not a knob: each context
+//! runs the AVX2 transform when the host has it and the bit-identical
+//! scalar reference otherwise. Keys and ciphertexts store
 //! typed [`scheme::Poly`]`<`[`scheme::Ntt`]`>` polynomials, so the
 //! coefficient-domain/NTT-domain distinction is checked by the compiler.
 //!
@@ -59,9 +61,10 @@
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let ctx = RlweContext::builder(ParamSet::P1)
-//!     .ntt_backend(NttBackend::Packed)   // backend choice is API, not module-picking
 //!     .sampler(SamplerKind::Lut)
 //!     .build()?;
+//! // The host picked the NTT kernel; either one gives identical bytes.
+//! assert!(matches!(ctx.backend(), NttBackend::Avx2 | NttBackend::Reference));
 //! let mut rng = rand::rngs::StdRng::seed_from_u64(7);
 //! let (pk, sk) = ctx.generate_keypair(&mut rng)?;
 //! let msg = vec![0xA5u8; ctx.params().message_bytes()];
