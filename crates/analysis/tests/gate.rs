@@ -45,6 +45,45 @@ fn workspace_findings_match_the_committed_baseline() {
 }
 
 #[test]
+fn coefficient_packing_is_linted_as_secret_handling() {
+    // Key serialization packs secret coefficients, so the packer's and
+    // parser's inputs are annotated secret and the lint checks their
+    // loops directly. The gate above then keeps them branch-free.
+    let ws = rlwe_analysis::load_workspace(&rlwe_analysis::workspace_root());
+    for (name, param) in [("pack_coeffs_into", "coeffs"), ("unpack_coeffs", "bytes")] {
+        let f = ws
+            .fns
+            .iter()
+            .find(|f| {
+                f.name == name && ws.files[f.file].rel_path.ends_with("core/src/serialize.rs")
+            })
+            .unwrap_or_else(|| panic!("{name} is defined in rlwe-core's serialize.rs"));
+        assert!(
+            f.params.iter().any(|p| p.name == param && p.secret),
+            "{name}'s `{param}` must carry `// ct: secret`"
+        );
+    }
+    // The bit-at-a-time packer the word-wise one replaced branches on
+    // every coefficient bit, which the annotation exposes.
+    let bitwise = "pub fn pack_coeffs(/* ct: secret */ coeffs: &[u32], bits: u32) -> Vec<u8> {\n\
+                   let mut out = vec![0u8; 4];\n\
+                   for &c in coeffs { for b in 0..bits { if (c >> b) & 1 == 1 { out[0] |= 1; } } }\n\
+                   out }";
+    let findings = rlwe_analysis::analyze(&rlwe_analysis::load_sources(vec![(
+        "rlwe-core".into(),
+        "crates/core/src/serialize.rs".into(),
+        bitwise.into(),
+    )]))
+    .findings;
+    assert!(
+        findings
+            .iter()
+            .any(|f| f.rule == rlwe_analysis::findings::Rule::CtBranch),
+        "{findings:?}"
+    );
+}
+
+#[test]
 fn baseline_has_no_duplicate_or_malformed_entries() {
     let text =
         std::fs::read_to_string(rlwe_analysis::baseline_path()).expect("committed baseline exists");

@@ -12,28 +12,32 @@
 //! runtime-Barrett plan on the same ring (the specialization ablation,
 //! DESIGN.md §7); `_avx2` measures the vector kernel. The scheme arms
 //! (`encrypt_p1`, …) measure the default context, which runs the AVX2
-//! NTT wherever the host has it.
+//! NTT wherever the host has it; next to encrypt/decrypt they time wire
+//! serialization (`ct_to_bytes_p2`, …), CPA and CCA encap/decap and the
+//! session handshake's two halves.
 //!
 //! ```text
 //! cargo run --release -p rlwe-bench --bin perf_snapshot            # print only
-//! cargo run --release -p rlwe-bench --bin perf_snapshot -- --json  # + BENCH_7.json
+//! cargo run --release -p rlwe-bench --bin perf_snapshot -- --json  # + BENCH_8.json
 //! cargo run --release -p rlwe-bench --bin perf_snapshot -- --smoke # CI: few reps
 //! ```
 //!
-//! `--json [PATH]` defaults to `BENCH_7.json` in the working directory;
+//! `--json [PATH]` defaults to `BENCH_8.json` in the working directory;
 //! `--smoke` cuts repetition counts ~100× so CI can exercise the binary in
 //! seconds (the numbers are then smoke-quality — trend data comes from
 //! full runs).
 
+use std::hint::black_box;
 use std::time::Instant;
 
 use rlwe_bench::snapshot::{Snapshot, SnapshotEntry};
 
 /// The PR this snapshot belongs to — bump once per PR; it names the
 /// default `--json` output file and is recorded inside the document.
-const PR: u32 = 7;
+const PR: u32 = 8;
 use rlwe_core::drbg::HashDrbg;
-use rlwe_core::{ParamSet, RlweContext};
+use rlwe_core::{Ciphertext, ParamSet, PublicKey, RlweContext};
+use rlwe_engine::Session;
 use rlwe_ntt::NttPlan;
 use rlwe_sampler::ct::CtCdtSampler;
 use rlwe_sampler::random::{BitSource, BufferedBitSource, SplitMix64};
@@ -240,6 +244,67 @@ fn bench_scheme(snap: &mut Snapshot, ctx: &RlweContext, label: &str, scheme_reps
         scheme_reps,
     );
     snap.push(SnapshotEntry::ns(format!("decrypt_{label}"), dec));
+
+    // Wire serialization, the KEM paths that hash it, and the session
+    // handshake that carries it.
+    macro_rules! arm {
+        ($name:literal, $reps:expr, $op:expr) => {{
+            let ns = time_ns(
+                || {
+                    black_box($op.is_ok());
+                },
+                $reps,
+            );
+            snap.push(SnapshotEntry::ns(format!("{}_{label}", $name), ns));
+        }};
+    }
+    let ct_bytes = ct.to_bytes().expect("named set");
+    let pk_bytes = pk.to_bytes().expect("named set");
+    arm!("ct_to_bytes", scheme_reps * 10, ct.to_bytes());
+    arm!(
+        "ct_from_bytes",
+        scheme_reps * 10,
+        Ciphertext::from_bytes(&ct_bytes)
+    );
+    arm!("pk_to_bytes", scheme_reps * 10, pk.to_bytes());
+    arm!(
+        "pk_from_bytes",
+        scheme_reps * 10,
+        PublicKey::from_bytes(&pk_bytes)
+    );
+    let (cca_ct, _) = ctx.encapsulate_cca(&pk, &mut rng).expect("encap");
+    let (_, hello) = Session::initiate(ctx, &pk, &mut rng).expect("initiate");
+    arm!(
+        "encap",
+        scheme_reps,
+        ctx.encapsulate_into(&pk, &mut rng, &mut ct, &mut scratch)
+    );
+    arm!(
+        "decap",
+        scheme_reps,
+        ctx.decapsulate_with_scratch(&sk, &cca_ct, &mut scratch)
+    );
+    arm!(
+        "encap_cca",
+        scheme_reps,
+        ctx.encapsulate_cca_with_scratch(&pk, &mut rng, &mut scratch)
+    );
+    arm!(
+        "decap_cca",
+        scheme_reps,
+        ctx.decapsulate_cca_with_scratch(&sk, &pk, &cca_ct, &mut scratch)
+    );
+    arm!(
+        "session_initiate",
+        scheme_reps,
+        Session::initiate(ctx, &pk, &mut rng)
+    );
+    arm!(
+        "session_accept",
+        scheme_reps,
+        // ct-allow(benchmark loop over a fixed hello; the verdict is discarded)
+        Session::accept(ctx, &sk, &hello)
+    );
 }
 
 fn main() {

@@ -177,9 +177,9 @@ impl RlweContext {
     /// This path is **branch-free on secrets**: both the accept key
     /// `H(key ‖ m ‖ ct)` and the implicit-rejection key
     /// `H(reject ‖ sk ‖ ct)` are derived unconditionally, the
-    /// re-encryption comparison folds every byte difference *and* any
-    /// length mismatch into one accumulator
-    /// ([`rlwe_zq::ct::ct_eq_mask`]), and the returned key is a masked
+    /// re-encryption comparison folds every coefficient difference *and*
+    /// any length mismatch into one accumulator
+    /// ([`rlwe_zq::ct::ct_eq_mask_u32`]), and the returned key is a masked
     /// select between the two candidates — no secret-dependent branch,
     /// no secret-dependent hash-call shape (the leakage harness's probe
     /// test asserts the accept and reject traces are identical). Combine
@@ -232,6 +232,7 @@ impl RlweContext {
         // ct-allow(decrypt_into fails only on malformed ciphertext structure, not secret bits)
         self.decrypt_into(sk, ct, m, scratch)?;
         let mut coins = hash2(DS_COINS, m);
+        // The one serialization of this operation: both keys hash it.
         let ct_bytes = ct.to_bytes()?;
         let mut drbg = HashDrbg::new(coins);
         // The DRBG holds its own (Drop-scrubbed) copy; erase ours now so
@@ -239,16 +240,17 @@ impl RlweContext {
         ct::zeroize(&mut coins);
         // ct-allow(serialization errors are structural, independent of the secret coins)
         self.encrypt_into(pk, m, &mut drbg, reencrypted, scratch)?;
-        let mut re_bytes = reencrypted.to_bytes()?;
-        // One masked verdict: byte diffs and length mismatch together.
-        let mask = ct::ct_eq_mask(&re_bytes, &ct_bytes);
+        // One masked verdict over the coefficients, length mismatch
+        // folded in. Reduced coefficients pack injectively, so this is
+        // the wire-byte comparison without serializing the re-encryption.
+        let mask = ct::ct_eq_mask_u32(reencrypted.c1_hat.as_slice(), ct.c1_hat.as_slice())
+            & ct::ct_eq_mask_u32(reencrypted.c2_hat.as_slice(), ct.c2_hat.as_slice());
         // Both candidate keys are always derived, so the hash-call shape
         // does not depend on whether the re-encryption matched.
         let mut accept = hash3(DS_KEY, m, &ct_bytes);
         let mut reject = hash_reject(sk.r2_poly().as_slice(), &ct_bytes);
         let mut key = [0u8; 32];
         ct::ct_select_slice(mask, &accept, &reject, &mut key);
-        ct::zeroize(&mut re_bytes);
         ct::zeroize(&mut accept);
         ct::zeroize(&mut reject);
         Ok(SharedSecret::from_bytes(key))

@@ -64,12 +64,12 @@ impl std::fmt::Debug for SharedSecret {
     }
 }
 
-/// Derives `SHA-256(m ‖ ct)`.
-fn derive(m: &[u8], ct: &Ciphertext) -> Result<SharedSecret, RlweError> {
+/// Derives `SHA-256(m ‖ ct_bytes)` from the ciphertext's wire form.
+fn derive(m: &[u8], ct_bytes: &[u8]) -> SharedSecret {
     let mut h = Sha256::new();
     h.update(m);
-    h.update(&ct.to_bytes()?);
-    Ok(SharedSecret(h.finalize()))
+    h.update(ct_bytes);
+    SharedSecret(h.finalize())
 }
 
 impl RlweContext {
@@ -108,13 +108,33 @@ impl RlweContext {
         ct: &mut Ciphertext,
         scratch: &mut rlwe_ntt::PolyScratch,
     ) -> Result<SharedSecret, RlweError> {
+        self.encapsulate_wire(pk, rng, ct, scratch)
+            .map(|(_, ss)| ss)
+    }
+
+    /// [`RlweContext::encapsulate_into`] that also returns the
+    /// ciphertext's wire form ([`Ciphertext::to_bytes`]) — the bytes the
+    /// secret was hashed from. A caller that transmits the ciphertext
+    /// sends these rather than serializing it a second time.
+    ///
+    /// # Errors
+    ///
+    /// See [`RlweContext::encapsulate_into`].
+    pub fn encapsulate_wire<R: RngCore + ?Sized>(
+        &self,
+        pk: &PublicKey,
+        rng: &mut R,
+        ct: &mut Ciphertext,
+        scratch: &mut rlwe_ntt::PolyScratch,
+    ) -> Result<(Vec<u8>, SharedSecret), RlweError> {
         let t0 = std::time::Instant::now();
         let mut m = vec![0u8; self.params().message_bytes()];
         rng.fill_bytes(&mut m);
         self.encrypt_into(pk, &m, rng, ct, scratch)?;
-        let out = derive(&m, ct);
+        let ct_bytes = ct.to_bytes()?;
+        let ss = derive(&m, &ct_bytes);
         self.obs.encap_ns.record(t0.elapsed());
-        out
+        Ok((ct_bytes, ss))
     }
 
     /// Decapsulates a received ciphertext into the shared secret.
@@ -141,16 +161,51 @@ impl RlweContext {
         ct: &Ciphertext,
         scratch: &mut rlwe_ntt::PolyScratch,
     ) -> Result<SharedSecret, RlweError> {
-        // Wall-clock recording only: reading the clock at entry and
-        // exit neither branches on secrets nor alters the decryption
-        // path's operation counts (pinned by the leakage gates).
         let t0 = std::time::Instant::now();
+        let ct_bytes = ct.to_bytes()?;
+        self.decapsulate_parts(t0, sk, ct, &ct_bytes, scratch)
+    }
+
+    /// Decapsulates a ciphertext received in wire form. It is parsed once
+    /// and the received bytes themselves are hashed: the parser accepts
+    /// only the canonical encoding, so they equal
+    /// [`Ciphertext::to_bytes`] of the parsed ciphertext and the secret
+    /// matches [`RlweContext::decapsulate_with_scratch`]'s.
+    ///
+    /// # Errors
+    ///
+    /// [`RlweError::Malformed`] if `ct_bytes` does not parse; otherwise
+    /// as [`RlweContext::decapsulate_with_scratch`].
+    pub fn decapsulate_wire_with_scratch(
+        &self,
+        sk: &SecretKey,
+        ct_bytes: &[u8],
+        scratch: &mut rlwe_ntt::PolyScratch,
+    ) -> Result<SharedSecret, RlweError> {
+        let t0 = std::time::Instant::now();
+        let ct = Ciphertext::from_bytes(ct_bytes)?;
+        self.decapsulate_parts(t0, sk, &ct, ct_bytes, scratch)
+    }
+
+    /// Decrypts `ct` and hashes its wire form `ct_bytes`, recording the
+    /// operation's latency from `t0`.
+    fn decapsulate_parts(
+        &self,
+        t0: std::time::Instant,
+        sk: &SecretKey,
+        ct: &Ciphertext,
+        ct_bytes: &[u8],
+        scratch: &mut rlwe_ntt::PolyScratch,
+    ) -> Result<SharedSecret, RlweError> {
+        // Wall-clock recording only: reading the clock at entry (in the
+        // callers) and exit neither branches on secrets nor alters the
+        // decryption path's operation counts (pinned by the leakage gates).
         let mut m = Vec::with_capacity(self.params().message_bytes());
         // ct-allow(decode errors depend on ciphertext structure, not the secret key)
         self.decrypt_into(sk, ct, &mut m, scratch)?;
-        let out = derive(&m, ct);
+        let ss = derive(&m, ct_bytes);
         self.obs.decap_ns.record(t0.elapsed());
-        out
+        Ok(ss)
     }
 }
 
@@ -186,6 +241,34 @@ mod tests {
                 agreements >= trials - 5,
                 "{set:?}: only {agreements}/{trials} agreements"
             );
+        }
+    }
+
+    #[test]
+    fn wire_paths_match_the_typed_paths() {
+        for set in [ParamSet::P1, ParamSet::P2] {
+            let ctx = RlweContext::new(set).unwrap();
+            let mut rng = StdRng::seed_from_u64(26);
+            let (pk, sk) = ctx.generate_keypair(&mut rng).unwrap();
+            let mut scratch = ctx.new_scratch();
+            let (mut ct_a, mut ct_b) = (ctx.empty_ciphertext(), ctx.empty_ciphertext());
+            let ss_a = ctx
+                .encapsulate_into(&pk, &mut StdRng::seed_from_u64(27), &mut ct_a, &mut scratch)
+                .unwrap();
+            let (wire, ss_b) = ctx
+                .encapsulate_wire(&pk, &mut StdRng::seed_from_u64(27), &mut ct_b, &mut scratch)
+                .unwrap();
+            assert_eq!(ct_a, ct_b);
+            assert_eq!(wire, ct_b.to_bytes().unwrap());
+            assert_eq!(ss_a, ss_b);
+
+            let typed = ctx.decapsulate_with_scratch(&sk, &ct_b, &mut scratch);
+            let from_wire = ctx.decapsulate_wire_with_scratch(&sk, &wire, &mut scratch);
+            assert_eq!(typed.unwrap(), from_wire.unwrap(), "{set:?}");
+            assert!(matches!(
+                ctx.decapsulate_wire_with_scratch(&sk, &wire[1..], &mut scratch),
+                Err(RlweError::Malformed { .. })
+            ));
         }
     }
 

@@ -9,7 +9,7 @@ use rlwe_zq::Modulus;
 
 use crate::params::{ParamSet, Params};
 use crate::poly::{Ntt, Poly};
-use crate::serialize::{pack_coeffs, unpack_coeffs};
+use crate::serialize::{pack_coeffs_into, unpack_coeffs};
 use crate::RlweError;
 
 /// Magic byte prefixes for the serialized formats.
@@ -23,16 +23,23 @@ fn modulus_for(params: &Params) -> Modulus {
     Modulus::new(params.q()).expect("parameter-set modulus is a valid prime")
 }
 
-/// Serializes `(magic, param_id, polys...)` with fixed-width coefficients.
+/// Packed size of one polynomial under `params`.
+fn poly_bytes(params: &Params) -> usize {
+    (params.n() * params.coeff_bits() as usize).div_ceil(8)
+}
+
+/// Serializes `(magic, param_id, polys...)`, packing the fixed-width
+/// coefficients straight into one exactly sized buffer.
 ///
 /// Only named parameter sets (P1/P2) have stable wire identifiers.
 fn to_bytes_generic(magic: u8, params: Params, polys: &[&[u32]]) -> Result<Vec<u8>, RlweError> {
     let set = params.set().ok_or_else(|| RlweError::Malformed {
         reason: "custom parameter sets have no serialized form".into(),
     })?;
-    let mut out = vec![magic, set.id()];
+    let mut out = Vec::with_capacity(2 + polys.len() * poly_bytes(&params));
+    out.extend_from_slice(&[magic, set.id()]);
     for p in polys {
-        out.extend_from_slice(&pack_coeffs(p, params.coeff_bits()));
+        pack_coeffs_into(p, params.coeff_bits(), &mut out);
     }
     Ok(out)
 }
@@ -58,7 +65,7 @@ fn from_bytes_generic(
     })?;
     let params = set.params();
     let modulus = modulus_for(&params);
-    let poly_bytes = (params.n() * params.coeff_bits() as usize).div_ceil(8);
+    let poly_bytes = poly_bytes(&params);
     let expect = 2 + n_polys * poly_bytes;
     if bytes.len() != expect {
         return Err(RlweError::Malformed {
@@ -66,8 +73,7 @@ fn from_bytes_generic(
         });
     }
     let mut polys = Vec::with_capacity(n_polys);
-    for i in 0..n_polys {
-        let chunk = &bytes[2 + i * poly_bytes..2 + (i + 1) * poly_bytes];
+    for chunk in bytes.split_at(2).1.chunks_exact(poly_bytes) {
         let coeffs = unpack_coeffs(chunk, params.coeff_bits(), params.n(), params.q())?;
         // unpack_coeffs has already rejected unreduced coefficients.
         polys.push(Poly::from_vec_unchecked(coeffs, modulus));

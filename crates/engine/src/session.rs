@@ -48,7 +48,7 @@
 //! ([`Session::id`] is stable and cheap to store) or run a
 //! responder-nonce round on top before acting on received frames.
 
-use rlwe_core::{Ciphertext, PolyScratch, PublicKey, RlweContext, RlweError, SecretKey};
+use rlwe_core::{PolyScratch, PublicKey, RlweContext, RlweError, SecretKey};
 use rlwe_hash::{kdf2, HmacSha256, Sha256};
 use rlwe_zq::ct;
 
@@ -376,12 +376,10 @@ impl Session {
         rng: &mut R,
         metrics: Option<Arc<EngineMetrics>>,
     ) -> Result<(Self, Vec<u8>), SessionError> {
-        let (ct, ss) = with_thread_scratch(ctx.params().n(), |scratch| {
-            let mut ct = ctx.empty_ciphertext();
-            ctx.encapsulate_into(pk, rng, &mut ct, scratch)
-                .map(|ss| (ct, ss))
+        // The KEM hashed exactly these bytes; they open the hello as is.
+        let (ct_bytes, ss) = with_thread_scratch(ctx.params().n(), |scratch| {
+            ctx.encapsulate_wire(pk, rng, &mut ctx.empty_ciphertext(), scratch)
         })?;
-        let ct_bytes = ct.to_bytes()?;
         let session = Self::derive(ss.as_bytes(), &ct_bytes, Role::Initiator, metrics);
         let confirm = confirm_tag(&session.i2r, &session.sid);
         let mut hello = ct_bytes;
@@ -412,9 +410,8 @@ impl Session {
             return Err(SessionError::Truncated);
         }
         let (ct_bytes, confirm) = hello.split_at(hello.len() - TAG_LEN);
-        let ct = Ciphertext::from_bytes(ct_bytes)?;
         let ss = with_thread_scratch(ctx.params().n(), |scratch| {
-            ctx.decapsulate_with_scratch(sk, &ct, scratch)
+            ctx.decapsulate_wire_with_scratch(sk, ct_bytes, scratch)
         })?;
         let session = Self::derive(ss.as_bytes(), ct_bytes, Role::Responder, metrics);
         let expected = confirm_tag(&session.i2r, &session.sid);

@@ -6,7 +6,7 @@
 //! ```text
 //!                    ┌─────────────┐    sharded bounded queues
 //!   TCP clients ───▶ │  acceptor   │ ──▶ [shard 0] ──▶ worker 0, 4, …
-//!                    │ (nonblock,  │ ──▶ [shard 1] ──▶ worker 1, 5, …
+//!                    │ (blocking,  │ ──▶ [shard 1] ──▶ worker 1, 5, …
 //!                    │  sheds when │ ──▶ [shard 2] ──▶ worker 2, 6, …
 //!                    │  full/over) │ ──▶ [shard 3] ──▶ worker 3, 7, …
 //!                    └─────────────┘      (workers steal cross-shard)
@@ -21,10 +21,11 @@
 //!
 //! ## Graceful shutdown
 //!
-//! [`ServerHandle::shutdown`] flips the shutdown flag and closes the
-//! queue. The acceptor refuses new connections with
-//! [`Status::ShuttingDown`]; workers drain everything still queued and
-//! give every in-flight connection a [`ServerConfig::drain_timeout`]
+//! [`ServerHandle::shutdown`] flips the shutdown flag, closes the queue
+//! and wakes the acceptor, which stops accepting (a connection that
+//! races the flag is refused with [`Status::ShuttingDown`], and the
+//! backlog closes with the listener); workers drain everything still
+//! queued and give every in-flight connection a [`ServerConfig::drain_timeout`]
 //! grace window — requests already in the pipe are served, then the
 //! connection closes. `shutdown` returns once every thread has joined.
 
@@ -40,14 +41,15 @@ use rlwe_core::drbg::HashDrbg;
 use rlwe_core::{Ciphertext, PublicKey, SecretKey};
 use rlwe_engine::{Engine, SessionError, StreamReceiver, StreamSender};
 use std::io::Read;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Granularity at which blocked reads and the acceptor re-check the
-/// shutdown flag. Bounds shutdown latency without busy-spinning.
+/// Granularity at which blocked reads re-check the shutdown flag (the
+/// acceptor is woken instead). Bounds shutdown latency without
+/// busy-spinning.
 const POLL: Duration = Duration::from_millis(25);
 
 /// One accepted connection travelling from acceptor to worker.
@@ -118,7 +120,6 @@ pub fn serve(config: ServerConfig) -> Result<ServerHandle, ServerError> {
     );
     let listener = TcpListener::bind(config.addr)?;
     let local_addr = listener.local_addr()?;
-    listener.set_nonblocking(true)?;
 
     let shared = Arc::new(Shared {
         engine,
@@ -186,7 +187,12 @@ impl ServerHandle {
         self.shared.shutdown.store(true, Ordering::SeqCst);
         self.shared.queue.close();
         if let Some(a) = self.acceptor.take() {
-            let _ = a.join();
+            // The acceptor blocks in `accept`; a local connect wakes it
+            // to see the flag. Should that connect fail, the thread is
+            // left blocked rather than joined forever.
+            if TcpStream::connect_timeout(&wake_addr(self.local_addr), POLL).is_ok() {
+                let _ = a.join();
+            }
         }
         for w in self.workers.drain(..) {
             let _ = w.join();
@@ -212,20 +218,30 @@ impl std::fmt::Debug for ServerHandle {
 
 // ---------------------------------------------------------------- acceptor
 
+/// Where a local connect reaches a listener bound to `addr`: an
+/// unspecified bind address is reached through loopback.
+fn wake_addr(addr: SocketAddr) -> SocketAddr {
+    let ip = match addr.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => Ipv4Addr::LOCALHOST.into(),
+        IpAddr::V6(ip) if ip.is_unspecified() => Ipv6Addr::LOCALHOST.into(),
+        ip => ip,
+    };
+    SocketAddr::new(ip, addr.port())
+}
+
+/// Blocks in `accept`, so a connection is handed to the queue as soon as
+/// it arrives. Shutdown wakes it with a local connect; from then on it
+/// accepts nothing, and connections still in the backlog close with the
+/// listener.
 fn acceptor_loop(shared: &Shared, listener: TcpListener) {
     let mut next_shard = 0usize;
     loop {
         match listener.accept() {
+            Ok(_) if shared.shutdown.load(Ordering::SeqCst) => return,
             Ok((stream, _peer)) => {
                 let _ = stream.set_write_timeout(Some(shared.config.write_timeout));
                 let _ = stream.set_nodelay(true);
                 handle_accept(shared, stream, &mut next_shard);
-            }
-            Err(e) if wire::is_timeout(&e) => {
-                if shared.shutdown.load(Ordering::Relaxed) {
-                    return;
-                }
-                std::thread::sleep(POLL.min(Duration::from_millis(5)));
             }
             Err(_) => {
                 // Transient accept failure (EMFILE, aborted handshake…):
@@ -456,10 +472,12 @@ fn dispatch_request(shared: &Shared, session: &mut Option<ConnSession>, req: Req
         OpCode::Encap => {
             let mut rng = shared.op_rng();
             // ct-allow(op status is the wire-visible response code, public by protocol)
-            match ctx
-                .encapsulate(&shared.pk, &mut rng)
-                .and_then(|(ct, ss)| ct.to_bytes().map(|b| (b, ss)))
-            {
+            match ctx.encapsulate_wire(
+                &shared.pk,
+                &mut rng,
+                &mut ctx.empty_ciphertext(),
+                &mut ctx.new_scratch(),
+            ) {
                 Ok((ct_bytes, ss)) => {
                     let mut body = ss.as_bytes().to_vec();
                     body.extend_from_slice(&ct_bytes);
@@ -468,12 +486,12 @@ fn dispatch_request(shared: &Shared, session: &mut Option<ConnSession>, req: Req
                 Err(e) => rejected(REJECT_PERMANENT, e),
             }
         }
-        OpCode::Decap => match Ciphertext::from_bytes(&req.body)
-            .and_then(|ct| ctx.decapsulate(&shared.sk, &ct))
-        {
-            Ok(ss) => ok(ss.as_bytes().to_vec()),
-            Err(e) => rejected(REJECT_PERMANENT, e),
-        },
+        OpCode::Decap => {
+            match ctx.decapsulate_wire_with_scratch(&shared.sk, &req.body, &mut ctx.new_scratch()) {
+                Ok(ss) => ok(ss.as_bytes().to_vec()),
+                Err(e) => rejected(REJECT_PERMANENT, e),
+            }
+        }
     }
 }
 

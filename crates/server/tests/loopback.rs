@@ -453,3 +453,29 @@ fn assert_still_alive(handle: &ServerHandle) {
     let mut probe = Client::connect(handle.local_addr()).unwrap();
     assert_eq!(probe.ping(b"probe").unwrap(), b"probe");
 }
+
+#[test]
+fn shutdown_wakes_the_blocked_acceptor_on_loopback_and_unspecified_binds() {
+    // The acceptor blocks in `accept`; shutdown's local connect must
+    // reach it whether the listener is bound to loopback or to the
+    // unspecified address, and the joined acceptor closes the listener.
+    for bind in ["127.0.0.1:0", "0.0.0.0:0"] {
+        let handle = serve(ServerConfig {
+            addr: bind.parse().unwrap(),
+            ..base_config()
+        })
+        .unwrap();
+        let port = handle.local_addr().port();
+        let t0 = Instant::now();
+        handle.shutdown();
+        assert!(
+            t0.elapsed() < Duration::from_secs(5),
+            "{bind}: slow shutdown"
+        );
+        let probe = SocketAddr::from(([127, 0, 0, 1], port));
+        assert!(
+            TcpStream::connect_timeout(&probe, Duration::from_secs(1)).is_err(),
+            "{bind}: the listener outlived shutdown"
+        );
+    }
+}

@@ -5,8 +5,8 @@
 //! blocks that close that gap. Three crates used to carry their own
 //! byte-compare loops (`rlwe-hash` HMAC verification, the engine's frame
 //! MAC check, the FO transform's re-encryption compare) — they all route
-//! through [`ct_eq`] now, so there is exactly one implementation to
-//! audit.
+//! through [`ct_eq`] or its coefficient sibling [`ct_eq_mask_u32`] now,
+//! so there is one module to audit.
 //!
 //! Conventions:
 //!
@@ -51,6 +51,33 @@ pub fn ct_eq_mask(a: &[u8], b: &[u8]) -> u8 {
     for (x, y) in a.iter().zip(b) {
         acc |= (x ^ y) as u64;
     }
+    zero_mask(acc)
+}
+
+/// [`ct_eq_mask`] over `u32` words, such as the coefficients of two
+/// polynomials, with the same guarantees.
+///
+/// # Example
+///
+/// ```
+/// use rlwe_zq::ct::ct_eq_mask_u32;
+///
+/// assert_eq!(ct_eq_mask_u32(&[7680, 1], &[7680, 1]), 0xFF);
+/// assert_eq!(ct_eq_mask_u32(&[7680, 1], &[7680, 0]), 0x00);
+/// assert_eq!(ct_eq_mask_u32(&[1], &[1, 0]), 0x00); // length folds in
+/// ```
+#[inline]
+pub fn ct_eq_mask_u32(a: &[u32], b: &[u32]) -> u8 {
+    let mut acc = (a.len() ^ b.len()) as u64;
+    for (x, y) in a.iter().zip(b) {
+        acc |= u64::from(x ^ y);
+    }
+    zero_mask(acc)
+}
+
+/// `0xFF` when `acc == 0`, else `0x00`, without a branch.
+#[inline]
+fn zero_mask(acc: u64) -> u8 {
     // Optimizer barrier: without it the compiler may prove acc's value
     // range after inlining and lower the mask derivation back into a
     // compare-and-branch — the regression this module exists to prevent.
