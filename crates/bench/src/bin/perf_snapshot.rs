@@ -14,15 +14,18 @@
 //! (`encrypt_p1`, …) measure the default context, which runs the AVX2
 //! NTT wherever the host has it; next to encrypt/decrypt they time wire
 //! serialization (`ct_to_bytes_p2`, …), CPA and CCA encap/decap and the
-//! session handshake's two halves.
+//! session handshake's two halves. The frame arms time one P1 session's
+//! symmetric layer at 64 B and 16 KiB: the keystream alone
+//! (`frame_keystream_*`), the frame tag alone (`frame_tag_*`), and whole
+//! `seal`/`open` calls (`session_seal_*`, `session_open_*`).
 //!
 //! ```text
 //! cargo run --release -p rlwe-bench --bin perf_snapshot            # print only
-//! cargo run --release -p rlwe-bench --bin perf_snapshot -- --json  # + BENCH_8.json
+//! cargo run --release -p rlwe-bench --bin perf_snapshot -- --json  # + BENCH_9.json
 //! cargo run --release -p rlwe-bench --bin perf_snapshot -- --smoke # CI: few reps
 //! ```
 //!
-//! `--json [PATH]` defaults to `BENCH_8.json` in the working directory;
+//! `--json [PATH]` defaults to `BENCH_9.json` in the working directory;
 //! `--smoke` cuts repetition counts ~100× so CI can exercise the binary in
 //! seconds (the numbers are then smoke-quality — trend data comes from
 //! full runs).
@@ -34,10 +37,11 @@ use rlwe_bench::snapshot::{Snapshot, SnapshotEntry};
 
 /// The PR this snapshot belongs to — bump once per PR; it names the
 /// default `--json` output file and is recorded inside the document.
-const PR: u32 = 8;
+const PR: u32 = 9;
 use rlwe_core::drbg::HashDrbg;
 use rlwe_core::{Ciphertext, ParamSet, PublicKey, RlweContext};
 use rlwe_engine::Session;
+use rlwe_hash::{HmacSha256, Keystream};
 use rlwe_ntt::NttPlan;
 use rlwe_sampler::ct::CtCdtSampler;
 use rlwe_sampler::random::{BitSource, BufferedBitSource, SplitMix64};
@@ -307,6 +311,61 @@ fn bench_scheme(snap: &mut Snapshot, ctx: &RlweContext, label: &str, scheme_reps
     );
 }
 
+/// Frame-layer arms on one P1 session, per payload size: the keystream
+/// XOR, the frame tag (a clone of the keyed HMAC context over
+/// `sid ‖ header ‖ body`, as the session computes it), and whole
+/// `seal`/`open` calls. Each `open` runs on a fresh receiver, so it
+/// includes cloning the direction's keyed state.
+fn bench_frames(snap: &mut Snapshot, small_reps: u32, bulk_reps: u32) {
+    let ctx = RlweContext::new(ParamSet::P1).expect("named set");
+    let (pk, sk) = ctx
+        .generate_keypair(&mut HashDrbg::new([9u8; 32]))
+        .expect("keygen");
+    let (initiator, responder) = (0..8)
+        .find_map(|attempt| {
+            let mut rng = HashDrbg::for_stream(&[10u8; 32], attempt);
+            let (initiator, hello) = Session::initiate(&ctx, &pk, &mut rng).expect("initiate");
+            // ct-allow(benchmark fixture: retries the public ~1% handshake failure)
+            let responder = Session::accept(&ctx, &sk, &hello).ok()?;
+            Some((initiator, responder))
+        })
+        .expect("a P1 handshake within eight attempts");
+    let keystream = Keystream::new(&[0x4Bu8; 32], &[0x50u8; 32]);
+    let tag_key = HmacSha256::new(&[0x4Du8; 32]);
+    let sid = initiator.id();
+
+    for (label, len, reps) in [("64b", 64usize, small_reps), ("16k", 16 << 10, bulk_reps)] {
+        let payload = vec![0xA5u8; len];
+        let mut buf = payload.clone();
+        let ks = time_ns(|| keystream.apply(7, black_box(&mut buf)), reps);
+        snap.push(SnapshotEntry::ns(format!("frame_keystream_{label}"), ks));
+
+        let frame = initiator.sender().seal(&payload);
+        let tag = time_ns(
+            || {
+                let mut h = tag_key.clone();
+                h.update(sid);
+                h.update(black_box(&frame[..frame.len() - 32]));
+                black_box(h.finalize());
+            },
+            reps,
+        );
+        snap.push(SnapshotEntry::ns(format!("frame_tag_{label}"), tag));
+
+        let mut tx = initiator.sender();
+        let seal = time_ns(|| drop(black_box(tx.seal(&payload))), reps);
+        snap.push(SnapshotEntry::ns(format!("session_seal_{label}"), seal));
+
+        let open = time_ns(
+            || {
+                black_box(responder.receiver().open(&frame).is_ok());
+            },
+            reps,
+        );
+        snap.push(SnapshotEntry::ns(format!("session_open_{label}"), open));
+    }
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let smoke = args.iter().any(|a| a == "--smoke");
@@ -378,6 +437,9 @@ fn main() {
         );
         bench_scheme(&mut snap, &ctx, label, scheme_reps);
     }
+
+    // --- Session framing: keystream, tag, seal and open on P1 -------------
+    bench_frames(&mut snap, ntt_reps, scheme_reps * 4);
 
     for e in snap.entries() {
         println!("{:<34}{:>14.1}{:>16.0}", e.name, e.ns_per_op, e.ops_per_sec);

@@ -16,9 +16,10 @@
 //!   **bit-identical** to the sequential loop — worker count and
 //!   scheduling cannot change a single ciphertext bit.
 //! * [`session`] — one KEM handshake, then authenticated symmetric
-//!   framing (KDF2 keystream + HMAC-SHA256) for arbitrary-length
-//!   payloads: the "millions of users" workload where lattice math is
-//!   per-session, not per-message.
+//!   framing (SHA-256 counter-mode keystream from a per-session keyed
+//!   midstate + HMAC-SHA256) for arbitrary-length payloads: the
+//!   "millions of users" workload where lattice math is per-session,
+//!   not per-message.
 //! * [`metrics`] — lock-free counters and fixed-bucket latency
 //!   histograms with an `m4sim`-style text report. Every cell also
 //!   mirrors into the process-wide `rlwe-obs` registry (labelled by

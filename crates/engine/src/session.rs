@@ -4,7 +4,8 @@
 //! This is the "millions of users" shape from the Ring-LWE controller
 //! literature: a long-lived context serves continuous streams of small
 //! messages, so the lattice operation happens **once per session** (the
-//! handshake) and every subsequent frame costs two SHA-256 passes.
+//! handshake) and every subsequent frame costs one SHA-256 compression
+//! per 32 payload bytes of keystream plus one HMAC-SHA256 pass.
 //!
 //! ## Handshake
 //!
@@ -30,10 +31,15 @@
 //! 0xF5 ‖ seq:u64be ‖ len:u32be ‖ body[len] ‖ tag[32]
 //! ```
 //!
-//! `body = payload XOR KDF2(enc, "rlwe-engine/ks" ‖ sid ‖ seq, len)` —
-//! each frame's keystream is bound to the session and sequence number, so
+//! `body = payload XOR ks`, where the keystream's 32-byte block `i` is
+//! `SHA-256(enc ‖ "rlwe-engine/ks" ‖ sid ‖ 0x0000 ‖ seq ‖ i:u32be)`
+//! ([`rlwe_hash::Keystream`]). The first 64 bytes of that message are the
+//! same for every frame of a direction, so their compressed midstate is
+//! computed once per session and each block costs one compression. Each
+//! frame's keystream is bound to the session and sequence number, so
 //! nonce reuse is structurally impossible within a session. `tag =
-//! HMAC-SHA256(mac, sid ‖ header ‖ body)`. Receivers enforce strictly
+//! HMAC-SHA256(mac, sid ‖ header ‖ body)`, from an HMAC context keyed
+//! once per session and cloned per frame. Receivers enforce strictly
 //! increasing sequence numbers starting at 0 (no replay, no reorder
 //! **within** a session).
 //!
@@ -49,7 +55,7 @@
 //! responder-nonce round on top before acting on received frames.
 
 use rlwe_core::{PolyScratch, PublicKey, RlweContext, RlweError, SecretKey};
-use rlwe_hash::{kdf2, HmacSha256, Sha256};
+use rlwe_hash::{kdf2, HmacSha256, Keystream, Sha256};
 use rlwe_zq::ct;
 
 use crate::metrics::EngineMetrics;
@@ -150,34 +156,58 @@ impl From<RlweError> for SessionError {
     }
 }
 
-/// One direction's key material. Best-effort erased on drop (each clone
-/// handed to a sender/receiver scrubs its own copy).
+/// One direction's key material, held in the keyed forms the frame path
+/// uses: the keystream midstate for `enc` and the HMAC context with both
+/// padded `mac` blocks absorbed. Neither raw key is kept. Best-effort
+/// erased on drop (each clone handed to a sender/receiver scrubs its own
+/// copy; the keystream erases itself).
 #[derive(Clone)]
 struct DirectionKeys {
-    enc: [u8; 32],
-    mac: [u8; 32],
+    keystream: Keystream,
+    // ct: secret
+    tag_key: HmacSha256,
 }
 
 impl Drop for DirectionKeys {
     fn drop(&mut self) {
-        ct::zeroize(&mut self.enc);
-        ct::zeroize(&mut self.mac);
+        self.tag_key.scrub();
     }
 }
 
 impl DirectionKeys {
-    fn derive(ss: &[u8], label: &[u8], sid: &[u8; SID_LEN]) -> Self {
+    fn derive(/* ct: secret */ ss: &[u8], label: &[u8], sid: &[u8; SID_LEN]) -> Self {
         let mut info = Vec::with_capacity(label.len() + SID_LEN);
         info.extend_from_slice(label);
         info.extend_from_slice(sid);
         let mut okm = kdf2(ss, &info, 64);
         let mut enc = [0u8; 32];
-        let mut mac = [0u8; 32];
         enc.copy_from_slice(&okm[..32]);
-        mac.copy_from_slice(&okm[32..]);
+        let keys = Self {
+            keystream: Keystream::new(&enc, &keystream_prefix(sid)),
+            tag_key: HmacSha256::new(&okm[32..]),
+        };
+        ct::zeroize(&mut enc);
         ct::zeroize(&mut okm);
-        Self { enc, mac }
+        keys
     }
+
+    /// HMAC over `sid ‖ header ‖ body`.
+    fn frame_tag(&self, sid: &[u8; SID_LEN], header_and_body: &[u8]) -> [u8; 32] {
+        let mut h = self.tag_key.clone();
+        h.update(sid);
+        h.update(header_and_body);
+        h.finalize()
+    }
+}
+
+/// `"rlwe-engine/ks" ‖ sid ‖ 0x0000`: with the 32-byte `enc` key in
+/// front, exactly the first SHA-256 block of every keystream block's
+/// message.
+fn keystream_prefix(sid: &[u8; SID_LEN]) -> [u8; 32] {
+    let mut prefix = [0u8; 32];
+    prefix[..DS_KEYSTREAM.len()].copy_from_slice(DS_KEYSTREAM);
+    prefix[DS_KEYSTREAM.len()..DS_KEYSTREAM.len() + SID_LEN].copy_from_slice(sid);
+    prefix
 }
 
 /// Sending half of one stream direction: seals payloads into
@@ -191,7 +221,18 @@ pub struct StreamSender {
 
 impl StreamSender {
     /// Seals `payload` into a self-contained wire frame.
+    ///
+    /// # Panics
+    ///
+    /// If `payload` is longer than [`MAX_FRAME_PAYLOAD`], which every
+    /// receiver would reject. The check runs before the sequence number
+    /// advances.
     pub fn seal(&mut self, payload: &[u8]) -> Vec<u8> {
+        assert!(
+            payload.len() <= MAX_FRAME_PAYLOAD,
+            "frame payload of {} bytes exceeds MAX_FRAME_PAYLOAD",
+            payload.len()
+        );
         let seq = self.seq;
         self.seq += 1;
         let mut frame = Vec::with_capacity(HEADER_LEN + payload.len() + TAG_LEN);
@@ -199,8 +240,8 @@ impl StreamSender {
         frame.extend_from_slice(&seq.to_be_bytes());
         frame.extend_from_slice(&(payload.len() as u32).to_be_bytes());
         frame.extend_from_slice(payload);
-        apply_keystream(&self.keys.enc, &self.sid, seq, &mut frame[HEADER_LEN..]);
-        let tag = frame_tag(&self.keys.mac, &self.sid, &frame);
+        self.keys.keystream.apply(seq, &mut frame[HEADER_LEN..]);
+        let tag = self.keys.frame_tag(&self.sid, &frame);
         frame.extend_from_slice(&tag);
         if let Some(m) = &self.metrics {
             m.frames_sealed.inc();
@@ -261,7 +302,7 @@ impl StreamReceiver {
             return Err(SessionError::Truncated);
         }
         // MAC check before anything else touches the body or the state.
-        let tag = frame_tag(&self.keys.mac, &self.sid, &buf[..HEADER_LEN + len]);
+        let tag = self.keys.frame_tag(&self.sid, &buf[..HEADER_LEN + len]);
         if !ct::ct_eq(&tag, &buf[HEADER_LEN + len..total]) {
             return Err(SessionError::BadTag);
         }
@@ -272,7 +313,7 @@ impl StreamReceiver {
             });
         }
         let mut payload = buf[HEADER_LEN..HEADER_LEN + len].to_vec();
-        apply_keystream(&self.keys.enc, &self.sid, seq, &mut payload);
+        self.keys.keystream.apply(seq, &mut payload);
         self.expected_seq += 1;
         Ok((payload, total))
     }
@@ -281,29 +322,6 @@ impl StreamReceiver {
     pub fn expected_seq(&self) -> u64 {
         self.expected_seq
     }
-}
-
-/// XORs `data` with the frame keystream for `(key, sid, seq)`.
-fn apply_keystream(key: &[u8; 32], sid: &[u8; SID_LEN], seq: u64, data: &mut [u8]) {
-    if data.is_empty() {
-        return;
-    }
-    let mut info = Vec::with_capacity(DS_KEYSTREAM.len() + SID_LEN + 8);
-    info.extend_from_slice(DS_KEYSTREAM);
-    info.extend_from_slice(sid);
-    info.extend_from_slice(&seq.to_be_bytes());
-    let ks = kdf2(key, &info, data.len());
-    for (b, k) in data.iter_mut().zip(&ks) {
-        *b ^= k;
-    }
-}
-
-/// HMAC over `sid ‖ header ‖ body`.
-fn frame_tag(mac_key: &[u8; 32], sid: &[u8; SID_LEN], header_and_body: &[u8]) -> [u8; 32] {
-    let mut h = HmacSha256::new(mac_key);
-    h.update(sid);
-    h.update(header_and_body);
-    h.finalize()
 }
 
 fn session_id(ct_bytes: &[u8]) -> [u8; SID_LEN] {
@@ -317,7 +335,7 @@ fn session_id(ct_bytes: &[u8]) -> [u8; SID_LEN] {
 }
 
 fn confirm_tag(keys: &DirectionKeys, sid: &[u8; SID_LEN]) -> [u8; 32] {
-    let mut h = HmacSha256::new(&keys.mac);
+    let mut h = keys.tag_key.clone();
     h.update(DS_CONFIRM);
     h.update(sid);
     h.finalize()
@@ -639,6 +657,84 @@ mod tests {
             b_rx_wrong_direction.seal(b"x").len(),
             HEADER_LEN + 1 + TAG_LEN
         );
+    }
+
+    /// A sender over fixed keys: `ss`, `sid` and the next `seq` pinned.
+    fn fixed_sender(seq: u64) -> StreamSender {
+        let sid = [0x5Au8; SID_LEN];
+        StreamSender {
+            keys: DirectionKeys::derive(&[0x11u8; 32], DS_I2R, &sid),
+            sid,
+            seq,
+            metrics: None,
+        }
+    }
+
+    #[test]
+    fn sealed_frame_matches_the_documented_construction() {
+        let seq = 3;
+        let payload: Vec<u8> = (0..100u8).collect();
+        let frame = fixed_sender(seq).seal(&payload);
+
+        let sid = [0x5Au8; SID_LEN];
+        let mut info = DS_I2R.to_vec();
+        info.extend_from_slice(&sid);
+        let okm = kdf2(&[0x11u8; 32], &info, 64);
+        let mut keystream = Vec::new();
+        for i in 0u32..4 {
+            let mut h = Sha256::new();
+            h.update(&okm[..32]);
+            h.update(DS_KEYSTREAM);
+            h.update(&sid);
+            h.update(&[0, 0]);
+            h.update(&u64::to_be_bytes(seq));
+            h.update(&i.to_be_bytes());
+            keystream.extend_from_slice(&h.finalize());
+        }
+        let body: Vec<u8> = payload.iter().zip(&keystream).map(|(p, k)| p ^ k).collect();
+        let mut want = vec![MAGIC];
+        want.extend_from_slice(&seq.to_be_bytes());
+        want.extend_from_slice(&100u32.to_be_bytes());
+        want.extend_from_slice(&body);
+        let mut mac = HmacSha256::new(&okm[32..]);
+        mac.update(&sid);
+        mac.update(&want);
+        want.extend_from_slice(&mac.finalize());
+        assert_eq!(frame, want);
+    }
+
+    #[test]
+    fn known_answer_sealed_frame_digest() {
+        let payload: Vec<u8> = (0..100u8).collect();
+        let frame = fixed_sender(3).seal(&payload);
+        let hex: String = Sha256::digest(&frame)
+            .iter()
+            .map(|b| format!("{b:02x}"))
+            .collect();
+        // A change here changes every frame on the wire: peers on either
+        // side of it no longer interoperate.
+        assert_eq!(
+            hex,
+            "e835c19e421bb4249e228d346250ec7c991d2c0baf54b8d270723743ce8ed1e7"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds MAX_FRAME_PAYLOAD")]
+    fn sealing_an_oversize_payload_panics() {
+        fixed_sender(0).seal(&vec![0u8; MAX_FRAME_PAYLOAD + 1]);
+    }
+
+    #[test]
+    fn an_oversize_seal_leaves_the_sequence_number_unused() {
+        let (alice, bob) = establish();
+        let mut tx = alice.sender();
+        let big = vec![0u8; MAX_FRAME_PAYLOAD + 1];
+        let sealed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| tx.seal(&big)));
+        assert!(sealed.is_err());
+        assert_eq!(tx.next_seq(), 0);
+        let (got, _) = bob.receiver().open(&tx.seal(b"next")).unwrap();
+        assert_eq!(got, b"next");
     }
 
     #[test]

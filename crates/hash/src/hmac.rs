@@ -63,6 +63,15 @@ impl HmacSha256 {
         self.outer.finalize()
     }
 
+    /// Erases both padded-key states. A keyed context that is kept
+    /// around — cloned once per message instead of re-keyed — stands in
+    /// for the key, so its owner calls this before dropping it. The
+    /// context must not be used afterwards.
+    pub fn scrub(&mut self) {
+        self.inner.scrub();
+        self.outer.scrub();
+    }
+
     /// One-shot MAC.
     pub fn mac(key: &[u8], message: &[u8]) -> [u8; 32] {
         let mut h = Self::new(key);
@@ -129,6 +138,16 @@ mod tests {
             hex(&tag),
             "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"
         );
+    }
+
+    #[test]
+    fn cloned_keyed_context_matches_fresh_keying() {
+        let keyed = HmacSha256::new(b"Jefe");
+        for msg in [&b""[..], b"what do ya want for nothing?", &[7u8; 200]] {
+            let mut h = keyed.clone();
+            h.update(msg);
+            assert_eq!(h.finalize(), HmacSha256::mac(b"Jefe", msg));
+        }
     }
 
     #[test]

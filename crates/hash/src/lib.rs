@@ -1,11 +1,13 @@
-//! SHA-256, HMAC-SHA256 and KDF2 — implemented from scratch.
+//! SHA-256, HMAC-SHA256, KDF2 and a SHA-256 counter-mode keystream —
+//! implemented from scratch.
 //!
 //! The paper compares its ring-LWE encryption against ECIES (Table IV).
 //! ECIES needs a key-derivation function and a MAC on top of the curve
 //! arithmetic; since this reproduction builds every substrate itself, the
 //! hash stack lives here. The implementations follow FIPS 180-4 (SHA-256),
 //! RFC 2104 (HMAC) and ISO 18033-2 (KDF2) and are validated against the
-//! published test vectors.
+//! published test vectors. [`Keystream`] is the session layer's frame
+//! cipher: one compression per 32 output bytes from a keyed midstate.
 //!
 //! # Example
 //!
@@ -30,6 +32,7 @@
 
 mod hmac;
 mod kdf;
+mod keystream;
 mod sha256;
 #[cfg(target_arch = "x86_64")]
 mod shani;
@@ -38,4 +41,5 @@ pub mod probe;
 
 pub use hmac::HmacSha256;
 pub use kdf::kdf2;
+pub use keystream::Keystream;
 pub use sha256::Sha256;

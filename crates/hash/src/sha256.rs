@@ -16,7 +16,7 @@ pub(crate) const K: [u32; 64] = [
 
 /// Initial hash state: first 32 bits of the fractional parts of the square
 /// roots of the first 8 primes.
-const H0: [u32; 8] = [
+pub(crate) const H0: [u32; 8] = [
     0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19,
 ];
 
@@ -119,13 +119,7 @@ impl Sha256 {
         let mut block_b = pad_one_block(msg_b);
         let mut state_a = H0;
         let mut state_b = H0;
-        #[cfg(target_arch = "x86_64")]
-        crate::shani::compress2(&mut state_a, &block_a, &mut state_b, &block_b);
-        #[cfg(not(target_arch = "x86_64"))]
-        {
-            compress(&mut state_a, &block_a);
-            compress(&mut state_b, &block_b);
-        }
+        compress_pair(&mut state_a, &block_a, &mut state_b, &block_b);
         // The messages may be key material (DRBG seeds); erase our copies.
         rlwe_zq::ct::zeroize(&mut block_a);
         rlwe_zq::ct::zeroize(&mut block_b);
@@ -155,6 +149,15 @@ impl Sha256 {
         }
         self.block[..rest.len()].copy_from_slice(rest);
         self.fill = rest.len();
+    }
+
+    /// Erases the chaining state and buffered tail, leaving a fresh
+    /// hasher: for a prefix-keyed state kept across messages (HMAC's
+    /// padded-key states) before it is dropped.
+    pub(crate) fn scrub(&mut self) {
+        rlwe_zq::ct::zeroize_u32(&mut self.state);
+        rlwe_zq::ct::zeroize(&mut self.block);
+        *self = Self::new();
     }
 
     /// Consumes the hasher and returns the digest.
@@ -201,7 +204,7 @@ fn pad_one_block(msg: &[u8]) -> [u8; 64] {
 }
 
 /// Serializes the working state as the big-endian FIPS digest.
-fn state_bytes(state: &[u32; 8]) -> [u8; 32] {
+pub(crate) fn state_bytes(state: &[u32; 8]) -> [u8; 32] {
     let mut out = [0u8; 32];
     for (i, w) in state.iter().enumerate() {
         out[i * 4..(i + 1) * 4].copy_from_slice(&w.to_be_bytes());
@@ -215,13 +218,31 @@ fn state_bytes(state: &[u32; 8]) -> [u8; 32] {
 /// portable [`compress_scalar`] otherwise. The two are the same
 /// function computed by different instructions — FIPS vectors and the
 /// cross-check test in [`crate::shani`] pin the identity.
-fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
+pub(crate) fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
     #[cfg(target_arch = "x86_64")]
     if crate::shani::available() {
         crate::shani::compress(state, block);
         return;
     }
     compress_scalar(state, block);
+}
+
+/// Two independent compressions: the interleaved SHA-NI kernel on
+/// x86-64 (which itself falls back to the scalar rounds off SHA-NI), two
+/// dispatched single compressions elsewhere.
+pub(crate) fn compress_pair(
+    state_a: &mut [u32; 8],
+    block_a: &[u8; 64],
+    state_b: &mut [u32; 8],
+    block_b: &[u8; 64],
+) {
+    #[cfg(target_arch = "x86_64")]
+    crate::shani::compress2(state_a, block_a, state_b, block_b);
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        compress(state_a, block_a);
+        compress(state_b, block_b);
+    }
 }
 
 /// Portable compression function: the FIPS 180-4 round schedule in
@@ -365,6 +386,14 @@ mod tests {
         crate::probe::start();
         Sha256::digest_one_block_pair(&[1u8; 40], &[2u8; 24]);
         assert_eq!(crate::probe::take(), vec![40, 24]);
+    }
+
+    #[test]
+    fn scrub_leaves_a_fresh_hasher() {
+        let mut h = Sha256::new();
+        h.update(&[0x5Au8; 100]);
+        h.scrub();
+        assert_eq!(h.finalize(), Sha256::digest(b""));
     }
 
     #[test]

@@ -18,8 +18,8 @@
 //! * [`scheme`] — the ring-LWE public-key encryption scheme itself, plus
 //!   KEM ([`scheme::kem`]), CCA ([`scheme::fo`]) extensions and the
 //!   seed-deterministic DRBG ([`scheme::drbg`]).
-//! * [`hash`] — SHA-256 / HMAC / KDF2 substrate for the ECC baseline and
-//!   the engine's session framing.
+//! * [`hash`] — SHA-256 / HMAC / KDF2 substrate for the ECC baseline, and
+//!   the counter-mode keystream of the engine's session framing.
 //! * [`ecc`] — GF(2²³³)/K-233 ECIES baseline the paper compares against.
 //! * [`m4sim`] — Cortex-M4F cost model that regenerates the paper's
 //!   cycle-count tables.
