@@ -84,6 +84,56 @@ fn coefficient_packing_is_linted_as_secret_handling() {
 }
 
 #[test]
+fn frame_aead_is_linted_as_secret_handling() {
+    // The frame AEAD's key, Poly1305 key and accumulator, and the
+    // plaintext `open_in_place` writes are annotated secret, so the lint
+    // checks the ChaCha20 block, the Poly1305 block function and the
+    // open path directly; the baseline gate keeps them branch-free.
+    let ws = rlwe_analysis::load_workspace(&rlwe_analysis::workspace_root());
+    for (file, name, params) in [
+        ("hash/src/chacha20.rs", "chacha20_block", &["key"][..]),
+        ("hash/src/poly1305.rs", "poly1305_blocks", &["acc", "r"][..]),
+        ("hash/src/aead.rs", "open_in_place", &["data"][..]),
+    ] {
+        let f = ws
+            .fns
+            .iter()
+            .find(|f| f.name == name && ws.files[f.file].rel_path.ends_with(file))
+            .unwrap_or_else(|| panic!("{name} is defined in {file}"));
+        for param in params {
+            assert!(
+                f.params.iter().any(|p| p.name == *param && p.secret),
+                "{name}'s `{param}` must carry `// ct: secret`"
+            );
+        }
+    }
+    for field in ["cipher_key", "r_key", "s_key", "acc"] {
+        assert!(
+            ws.secret_fields.contains(field),
+            "`{field}` must carry `// ct: secret`"
+        );
+    }
+    // A final reduction that branches on the accumulator, the classic
+    // variable-time Poly1305 mistake, is what the annotation exposes.
+    let branchy = "pub(crate) fn poly1305_blocks(/* ct: secret */ acc: &mut [u64; 3], \
+                   /* ct: secret */ r: &[u64; 2], blocks: &[u8], pad_bit: u64) {\n\
+                   if acc[2] >= 4 { acc[0] = acc[0].wrapping_add(5); }\n\
+                   }";
+    let findings = rlwe_analysis::analyze(&rlwe_analysis::load_sources(vec![(
+        "rlwe-hash".into(),
+        "crates/hash/src/poly1305.rs".into(),
+        branchy.into(),
+    )]))
+    .findings;
+    assert!(
+        findings
+            .iter()
+            .any(|f| f.rule == rlwe_analysis::findings::Rule::CtBranch),
+        "{findings:?}"
+    );
+}
+
+#[test]
 fn baseline_has_no_duplicate_or_malformed_entries() {
     let text =
         std::fs::read_to_string(rlwe_analysis::baseline_path()).expect("committed baseline exists");

@@ -15,17 +15,17 @@
 //! NTT wherever the host has it; next to encrypt/decrypt they time wire
 //! serialization (`ct_to_bytes_p2`, …), CPA and CCA encap/decap and the
 //! session handshake's two halves. The frame arms time one P1 session's
-//! symmetric layer at 64 B and 16 KiB: the keystream alone
-//! (`frame_keystream_*`), the frame tag alone (`frame_tag_*`), and whole
+//! symmetric layer at 64 B and 16 KiB: the ChaCha20 keystream alone
+//! (`frame_chacha20_*`), Poly1305 alone (`frame_poly1305_*`), and whole
 //! `seal`/`open` calls (`session_seal_*`, `session_open_*`).
 //!
 //! ```text
 //! cargo run --release -p rlwe-bench --bin perf_snapshot            # print only
-//! cargo run --release -p rlwe-bench --bin perf_snapshot -- --json  # + BENCH_9.json
+//! cargo run --release -p rlwe-bench --bin perf_snapshot -- --json  # + BENCH_16.json
 //! cargo run --release -p rlwe-bench --bin perf_snapshot -- --smoke # CI: few reps
 //! ```
 //!
-//! `--json [PATH]` defaults to `BENCH_9.json` in the working directory;
+//! `--json [PATH]` defaults to `BENCH_16.json` in the working directory;
 //! `--smoke` cuts repetition counts ~100× so CI can exercise the binary in
 //! seconds (the numbers are then smoke-quality — trend data comes from
 //! full runs).
@@ -37,11 +37,11 @@ use rlwe_bench::snapshot::{Snapshot, SnapshotEntry};
 
 /// The PR this snapshot belongs to — bump once per PR; it names the
 /// default `--json` output file and is recorded inside the document.
-const PR: u32 = 9;
+const PR: u32 = 16;
 use rlwe_core::drbg::HashDrbg;
 use rlwe_core::{Ciphertext, ParamSet, PublicKey, RlweContext};
 use rlwe_engine::Session;
-use rlwe_hash::{HmacSha256, Keystream};
+use rlwe_hash::{chacha20_xor, poly1305};
 use rlwe_ntt::NttPlan;
 use rlwe_sampler::ct::CtCdtSampler;
 use rlwe_sampler::random::{BitSource, BufferedBitSource, SplitMix64};
@@ -311,11 +311,12 @@ fn bench_scheme(snap: &mut Snapshot, ctx: &RlweContext, label: &str, scheme_reps
     );
 }
 
-/// Frame-layer arms on one P1 session, per payload size: the keystream
-/// XOR, the frame tag (a clone of the keyed HMAC context over
-/// `sid ‖ header ‖ body`, as the session computes it), and whole
-/// `seal`/`open` calls. Each `open` runs on a fresh receiver, so it
-/// includes cloning the direction's keyed state.
+/// Frame-layer arms on one P1 session, per payload size: the ChaCha20
+/// keystream XOR from block 1, as the AEAD runs it; Poly1305 over the
+/// payload (the AEAD's MAC input adds the 13-byte header, padding and
+/// one length block, about 48 bytes); and whole `seal`/`open` calls.
+/// Each `open` runs on a fresh receiver, so it includes cloning the
+/// direction's key.
 fn bench_frames(snap: &mut Snapshot, small_reps: u32, bulk_reps: u32) {
     let ctx = RlweContext::new(ParamSet::P1).expect("named set");
     let (pk, sk) = ctx
@@ -330,27 +331,23 @@ fn bench_frames(snap: &mut Snapshot, small_reps: u32, bulk_reps: u32) {
             Some((initiator, responder))
         })
         .expect("a P1 handshake within eight attempts");
-    let keystream = Keystream::new(&[0x4Bu8; 32], &[0x50u8; 32]);
-    let tag_key = HmacSha256::new(&[0x4Du8; 32]);
-    let sid = initiator.id();
+    let (key, nonce, otk) = ([0x4Bu8; 32], [0x50u8; 12], [0x4Du8; 32]);
 
     for (label, len, reps) in [("64b", 64usize, small_reps), ("16k", 16 << 10, bulk_reps)] {
         let payload = vec![0xA5u8; len];
         let mut buf = payload.clone();
-        let ks = time_ns(|| keystream.apply(7, black_box(&mut buf)), reps);
-        snap.push(SnapshotEntry::ns(format!("frame_keystream_{label}"), ks));
+        let chacha = time_ns(|| chacha20_xor(&key, &nonce, 1, black_box(&mut buf)), reps);
+        snap.push(SnapshotEntry::ns(format!("frame_chacha20_{label}"), chacha));
 
-        let frame = initiator.sender().seal(&payload);
-        let tag = time_ns(
+        let mac = time_ns(
             || {
-                let mut h = tag_key.clone();
-                h.update(sid);
-                h.update(black_box(&frame[..frame.len() - 32]));
-                black_box(h.finalize());
+                black_box(poly1305(&otk, black_box(&buf)));
             },
             reps,
         );
-        snap.push(SnapshotEntry::ns(format!("frame_tag_{label}"), tag));
+        snap.push(SnapshotEntry::ns(format!("frame_poly1305_{label}"), mac));
+
+        let frame = initiator.sender().seal(&payload);
 
         let mut tx = initiator.sender();
         let seal = time_ns(|| drop(black_box(tx.seal(&payload))), reps);
@@ -438,7 +435,7 @@ fn main() {
         bench_scheme(&mut snap, &ctx, label, scheme_reps);
     }
 
-    // --- Session framing: keystream, tag, seal and open on P1 -------------
+    // --- Session framing: ChaCha20, Poly1305, seal and open on P1 ---------
     bench_frames(&mut snap, ntt_reps, scheme_reps * 4);
 
     for e in snap.entries() {

@@ -16,8 +16,8 @@
 //!   **bit-identical** to the sequential loop — worker count and
 //!   scheduling cannot change a single ciphertext bit.
 //! * [`session`] — one KEM handshake, then authenticated symmetric
-//!   framing (SHA-256 counter-mode keystream from a per-session keyed
-//!   midstate + HMAC-SHA256) for arbitrary-length payloads: the
+//!   framing (RFC 8439 ChaCha20-Poly1305 under per-direction keys) for
+//!   arbitrary-length payloads: the
 //!   "millions of users" workload where lattice math is per-session,
 //!   not per-message.
 //! * [`metrics`] — lock-free counters and fixed-bucket latency
@@ -58,7 +58,7 @@ pub use batch::{
 };
 pub use metrics::{EngineMetrics, MetricsReport};
 pub use pool::{global as global_pool, ContextConfig, ContextPool};
-pub use session::{Role, Session, SessionError, StreamReceiver, StreamSender};
+pub use session::{Role, Session, SessionError, StreamReceiver, StreamSender, FRAME_OVERHEAD};
 
 use rand::RngCore;
 use rlwe_core::drbg::HashDrbg;

@@ -4,8 +4,8 @@
 //! This is the "millions of users" shape from the Ring-LWE controller
 //! literature: a long-lived context serves continuous streams of small
 //! messages, so the lattice operation happens **once per session** (the
-//! handshake) and every subsequent frame costs one SHA-256 compression
-//! per 32 payload bytes of keystream plus one HMAC-SHA256 pass.
+//! handshake) and every subsequent frame costs one ChaCha20-Poly1305
+//! (RFC 8439) seal or open.
 //!
 //! ## Handshake
 //!
@@ -28,20 +28,19 @@
 //! ## Frames
 //!
 //! ```text
-//! 0xF5 ‖ seq:u64be ‖ len:u32be ‖ body[len] ‖ tag[32]
+//! 0xF6 ‖ seq:u64be ‖ len:u32be ‖ ct[len] ‖ tag[16]
 //! ```
 //!
-//! `body = payload XOR ks`, where the keystream's 32-byte block `i` is
-//! `SHA-256(enc ‖ "rlwe-engine/ks" ‖ sid ‖ 0x0000 ‖ seq ‖ i:u32be)`
-//! ([`rlwe_hash::Keystream`]). The first 64 bytes of that message are the
-//! same for every frame of a direction, so their compressed midstate is
-//! computed once per session and each block costs one compression. Each
-//! frame's keystream is bound to the session and sequence number, so
-//! nonce reuse is structurally impossible within a session. `tag =
-//! HMAC-SHA256(mac, sid ‖ header ‖ body)`, from an HMAC context keyed
-//! once per session and cloned per frame. Receivers enforce strictly
-//! increasing sequence numbers starting at 0 (no replay, no reorder
-//! **within** a session).
+//! `ct ‖ tag` is ChaCha20-Poly1305 ([`rlwe_hash::ChaCha20Poly1305`])
+//! under the direction's `enc` key, with nonce `0x00000000 ‖ seq:u64be`
+//! and the 13-byte header as associated data. `sid` needs no place in
+//! the frame: it is already bound into the keys through the KDF2 info.
+//! The `mac` halves serve only the handshake's confirm tag. A nonce
+//! never repeats under one key: each direction has its own key, and its
+//! sender numbers frames 0, 1, 2, … . Receivers check the tag before
+//! anything else touches the payload or their state, then enforce
+//! strictly increasing sequence numbers starting at 0 (no replay, no
+//! reorder **within** a session).
 //!
 //! ## Cross-session replay
 //!
@@ -55,7 +54,7 @@
 //! responder-nonce round on top before acting on received frames.
 
 use rlwe_core::{PolyScratch, PublicKey, RlweContext, RlweError, SecretKey};
-use rlwe_hash::{kdf2, HmacSha256, Keystream, Sha256};
+use rlwe_hash::{kdf2, ChaCha20Poly1305, HmacSha256, Sha256};
 use rlwe_zq::ct;
 
 use crate::metrics::EngineMetrics;
@@ -63,11 +62,15 @@ use rand::RngCore;
 use std::sync::Arc;
 
 /// Frame magic byte.
-const MAGIC: u8 = 0xF5;
+const MAGIC: u8 = 0xF6;
 /// Frame header length: magic + seq + len.
 const HEADER_LEN: usize = 1 + 8 + 4;
-/// HMAC-SHA256 tag length.
-const TAG_LEN: usize = 32;
+/// AEAD tag length.
+const TAG_LEN: usize = rlwe_hash::TAG_LEN;
+/// HMAC-SHA256 length of the handshake's confirm tag.
+const CONFIRM_LEN: usize = 32;
+/// Bytes a frame adds to its payload: the header and the AEAD tag.
+pub const FRAME_OVERHEAD: usize = HEADER_LEN + TAG_LEN;
 /// Session id length.
 const SID_LEN: usize = 16;
 /// Refuse length prefixes beyond this (anti-DoS bound for `open`).
@@ -100,7 +103,6 @@ fn with_thread_scratch<T>(n: usize, f: impl FnOnce(&mut PolyScratch) -> T) -> T 
 const DS_SID: &[u8] = b"rlwe-engine/sid";
 const DS_I2R: &[u8] = b"rlwe-engine/i2r";
 const DS_R2I: &[u8] = b"rlwe-engine/r2i";
-const DS_KEYSTREAM: &[u8] = b"rlwe-engine/ks";
 const DS_CONFIRM: &[u8] = b"rlwe-engine/confirm";
 
 /// Errors from session establishment and frame processing.
@@ -116,9 +118,12 @@ pub enum SessionError {
     Truncated,
     /// A frame did not start with the magic byte.
     BadMagic(u8),
+    /// Bytes followed the frame where exactly one frame was expected
+    /// ([`StreamReceiver::open_exact`]); carries their count.
+    TrailingBytes(usize),
     /// A frame's length prefix exceeds [`MAX_FRAME_PAYLOAD`].
     TooLarge(u64),
-    /// MAC verification failed — the frame was tampered with or keys
+    /// Tag verification failed — the frame was tampered with or keys
     /// disagree.
     BadTag,
     /// A frame arrived out of order.
@@ -139,8 +144,9 @@ impl std::fmt::Display for SessionError {
             }
             SessionError::Truncated => write!(f, "truncated frame"),
             SessionError::BadMagic(b) => write!(f, "bad frame magic 0x{b:02X}"),
+            SessionError::TrailingBytes(n) => write!(f, "{n} bytes trail the frame"),
             SessionError::TooLarge(n) => write!(f, "frame payload of {n} bytes exceeds limit"),
-            SessionError::BadTag => write!(f, "frame MAC verification failed"),
+            SessionError::BadTag => write!(f, "frame tag verification failed"),
             SessionError::BadSequence { expected, got } => {
                 write!(f, "bad sequence number: expected {expected}, got {got}")
             }
@@ -156,65 +162,33 @@ impl From<RlweError> for SessionError {
     }
 }
 
-/// One direction's key material, held in the keyed forms the frame path
-/// uses: the keystream midstate for `enc` and the HMAC context with both
-/// padded `mac` blocks absorbed. Neither raw key is kept. Best-effort
-/// erased on drop (each clone handed to a sender/receiver scrubs its own
-/// copy; the keystream erases itself).
-#[derive(Clone)]
-struct DirectionKeys {
-    keystream: Keystream,
-    // ct: secret
-    tag_key: HmacSha256,
-}
-
-impl Drop for DirectionKeys {
-    fn drop(&mut self) {
-        self.tag_key.scrub();
-    }
-}
-
-impl DirectionKeys {
-    fn derive(/* ct: secret */ ss: &[u8], label: &[u8], sid: &[u8; SID_LEN]) -> Self {
-        let mut info = Vec::with_capacity(label.len() + SID_LEN);
-        info.extend_from_slice(label);
-        info.extend_from_slice(sid);
-        let mut okm = kdf2(ss, &info, 64);
-        let mut enc = [0u8; 32];
-        enc.copy_from_slice(&okm[..32]);
-        let keys = Self {
-            keystream: Keystream::new(&enc, &keystream_prefix(sid)),
-            tag_key: HmacSha256::new(&okm[32..]),
-        };
-        ct::zeroize(&mut enc);
-        ct::zeroize(&mut okm);
-        keys
-    }
-
-    /// HMAC over `sid ‖ header ‖ body`.
-    fn frame_tag(&self, sid: &[u8; SID_LEN], header_and_body: &[u8]) -> [u8; 32] {
-        let mut h = self.tag_key.clone();
-        h.update(sid);
-        h.update(header_and_body);
-        h.finalize()
-    }
-}
-
-/// `"rlwe-engine/ks" ‖ sid ‖ 0x0000`: with the 32-byte `enc` key in
-/// front, exactly the first SHA-256 block of every keystream block's
-/// message.
-fn keystream_prefix(sid: &[u8; SID_LEN]) -> [u8; 32] {
-    let mut prefix = [0u8; 32];
-    prefix[..DS_KEYSTREAM.len()].copy_from_slice(DS_KEYSTREAM);
-    prefix[DS_KEYSTREAM.len()..DS_KEYSTREAM.len() + SID_LEN].copy_from_slice(sid);
-    prefix
+/// One direction's keys, `enc ‖ mac = KDF2(ss, label ‖ sid, 64)`: the
+/// frame AEAD keyed with `enc` (it erases its key on drop, and so does
+/// each clone handed to a sender or receiver), and `mac` for the caller
+/// (the handshake's confirm tag uses the initiator-to-responder one).
+fn derive_direction(
+    /* ct: secret */ ss: &[u8],
+    label: &[u8],
+    sid: &[u8; SID_LEN],
+) -> (ChaCha20Poly1305, [u8; 32]) {
+    let mut info = Vec::with_capacity(label.len() + SID_LEN);
+    info.extend_from_slice(label);
+    info.extend_from_slice(sid);
+    let mut okm = kdf2(ss, &info, 64);
+    let mut enc = [0u8; 32];
+    let mut mac = [0u8; 32];
+    enc.copy_from_slice(&okm[..32]);
+    mac.copy_from_slice(&okm[32..]);
+    let aead = ChaCha20Poly1305::new(&enc);
+    ct::zeroize(&mut enc);
+    ct::zeroize(&mut okm);
+    (aead, mac)
 }
 
 /// Sending half of one stream direction: seals payloads into
 /// authenticated frames with monotonically increasing sequence numbers.
 pub struct StreamSender {
-    keys: DirectionKeys,
-    sid: [u8; SID_LEN],
+    aead: ChaCha20Poly1305,
     seq: u64,
     metrics: Option<Arc<EngineMetrics>>,
 }
@@ -235,13 +209,13 @@ impl StreamSender {
         );
         let seq = self.seq;
         self.seq += 1;
-        let mut frame = Vec::with_capacity(HEADER_LEN + payload.len() + TAG_LEN);
+        let mut frame = Vec::with_capacity(FRAME_OVERHEAD + payload.len());
         frame.push(MAGIC);
         frame.extend_from_slice(&seq.to_be_bytes());
         frame.extend_from_slice(&(payload.len() as u32).to_be_bytes());
         frame.extend_from_slice(payload);
-        self.keys.keystream.apply(seq, &mut frame[HEADER_LEN..]);
-        let tag = self.keys.frame_tag(&self.sid, &frame);
+        let (header, body) = frame.split_at_mut(HEADER_LEN);
+        let tag = self.aead.seal_in_place(seq, header, body);
         frame.extend_from_slice(&tag);
         if let Some(m) = &self.metrics {
             m.frames_sealed.inc();
@@ -257,8 +231,7 @@ impl StreamSender {
 
 /// Receiving half of one stream direction: verifies and opens frames.
 pub struct StreamReceiver {
-    keys: DirectionKeys,
-    sid: [u8; SID_LEN],
+    aead: ChaCha20Poly1305,
     expected_seq: u64,
     metrics: Option<Arc<EngineMetrics>>,
 }
@@ -274,7 +247,24 @@ impl StreamReceiver {
     /// advances on success, so a tampered frame can be re-delivered
     /// intact and still be accepted.
     pub fn open(&mut self, buf: &[u8]) -> Result<(Vec<u8>, usize), SessionError> {
-        let result = self.open_inner(buf);
+        self.open_counted(buf, false)
+    }
+
+    /// Opens `buf`, which must hold exactly one frame, and returns its
+    /// payload — the form for transports that carry one frame per
+    /// message.
+    ///
+    /// # Errors
+    ///
+    /// As [`StreamReceiver::open`], plus [`SessionError::TrailingBytes`]
+    /// when bytes follow the frame. That check runs before the tag
+    /// check, so such a buffer never advances the receiver.
+    pub fn open_exact(&mut self, buf: &[u8]) -> Result<Vec<u8>, SessionError> {
+        self.open_counted(buf, true).map(|(payload, _)| payload)
+    }
+
+    fn open_counted(&mut self, buf: &[u8], exact: bool) -> Result<(Vec<u8>, usize), SessionError> {
+        let result = self.open_inner(buf, exact);
         if let Some(m) = &self.metrics {
             match &result {
                 Ok(_) => m.frames_opened.inc(),
@@ -284,7 +274,7 @@ impl StreamReceiver {
         result
     }
 
-    fn open_inner(&mut self, buf: &[u8]) -> Result<(Vec<u8>, usize), SessionError> {
+    fn open_inner(&mut self, buf: &[u8], exact: bool) -> Result<(Vec<u8>, usize), SessionError> {
         if buf.len() < HEADER_LEN + TAG_LEN {
             return Err(SessionError::Truncated);
         }
@@ -301,19 +291,27 @@ impl StreamReceiver {
         if buf.len() < total {
             return Err(SessionError::Truncated);
         }
-        // MAC check before anything else touches the body or the state.
-        let tag = self.keys.frame_tag(&self.sid, &buf[..HEADER_LEN + len]);
-        if !ct::ct_eq(&tag, &buf[HEADER_LEN + len..total]) {
-            return Err(SessionError::BadTag);
+        if exact && buf.len() > total {
+            return Err(SessionError::TrailingBytes(buf.len() - total));
         }
+        // The AEAD checks the tag before it decrypts the copy, and the
+        // state moves only after both the tag and the sequence number pass.
+        let mut payload = buf[HEADER_LEN..HEADER_LEN + len].to_vec();
+        self.aead
+            .open_in_place(
+                seq,
+                &buf[..HEADER_LEN],
+                &mut payload,
+                &buf[HEADER_LEN + len..total],
+            )
+            .map_err(|_| SessionError::BadTag)?;
         if seq != self.expected_seq {
+            ct::zeroize(&mut payload);
             return Err(SessionError::BadSequence {
                 expected: self.expected_seq,
                 got: seq,
             });
         }
-        let mut payload = buf[HEADER_LEN..HEADER_LEN + len].to_vec();
-        self.keys.keystream.apply(seq, &mut payload);
         self.expected_seq += 1;
         Ok((payload, total))
     }
@@ -334,8 +332,9 @@ fn session_id(ct_bytes: &[u8]) -> [u8; SID_LEN] {
     sid
 }
 
-fn confirm_tag(keys: &DirectionKeys, sid: &[u8; SID_LEN]) -> [u8; 32] {
-    let mut h = keys.tag_key.clone();
+/// `HMAC-SHA256(mac_i2r, "confirm" ‖ sid)`.
+fn confirm_tag(/* ct: secret */ mac_i2r: &[u8; 32], sid: &[u8; SID_LEN]) -> [u8; CONFIRM_LEN] {
+    let mut h = HmacSha256::new(mac_i2r);
     h.update(DS_CONFIRM);
     h.update(sid);
     h.finalize()
@@ -355,21 +354,34 @@ pub enum Role {
 pub struct Session {
     sid: [u8; SID_LEN],
     role: Role,
-    i2r: DirectionKeys,
-    r2i: DirectionKeys,
+    i2r: ChaCha20Poly1305,
+    r2i: ChaCha20Poly1305,
     metrics: Option<Arc<EngineMetrics>>,
 }
 
 impl Session {
-    fn derive(ss: &[u8], ct_bytes: &[u8], role: Role, metrics: Option<Arc<EngineMetrics>>) -> Self {
+    /// The session over shared secret `ss`, and the handshake's confirm
+    /// tag.
+    fn derive(
+        ss: &[u8],
+        ct_bytes: &[u8],
+        role: Role,
+        metrics: Option<Arc<EngineMetrics>>,
+    ) -> (Self, [u8; CONFIRM_LEN]) {
         let sid = session_id(ct_bytes);
-        Self {
+        let (i2r, mut mac_i2r) = derive_direction(ss, DS_I2R, &sid);
+        let (r2i, mut mac_r2i) = derive_direction(ss, DS_R2I, &sid);
+        let confirm = confirm_tag(&mac_i2r, &sid);
+        ct::zeroize(&mut mac_i2r);
+        ct::zeroize(&mut mac_r2i);
+        let session = Self {
             sid,
             role,
-            i2r: DirectionKeys::derive(ss, DS_I2R, &sid),
-            r2i: DirectionKeys::derive(ss, DS_R2I, &sid),
+            i2r,
+            r2i,
             metrics,
-        }
+        };
+        (session, confirm)
     }
 
     /// Initiates a session to `pk`: encapsulates, derives keys and
@@ -398,8 +410,7 @@ impl Session {
         let (ct_bytes, ss) = with_thread_scratch(ctx.params().n(), |scratch| {
             ctx.encapsulate_wire(pk, rng, &mut ctx.empty_ciphertext(), scratch)
         })?;
-        let session = Self::derive(ss.as_bytes(), &ct_bytes, Role::Initiator, metrics);
-        let confirm = confirm_tag(&session.i2r, &session.sid);
+        let (session, confirm) = Self::derive(ss.as_bytes(), &ct_bytes, Role::Initiator, metrics);
         let mut hello = ct_bytes;
         hello.extend_from_slice(&confirm);
         Ok((session, hello))
@@ -424,15 +435,14 @@ impl Session {
         hello: &[u8],
         metrics: Option<Arc<EngineMetrics>>,
     ) -> Result<Self, SessionError> {
-        if hello.len() <= TAG_LEN {
+        if hello.len() <= CONFIRM_LEN {
             return Err(SessionError::Truncated);
         }
-        let (ct_bytes, confirm) = hello.split_at(hello.len() - TAG_LEN);
+        let (ct_bytes, confirm) = hello.split_at(hello.len() - CONFIRM_LEN);
         let ss = with_thread_scratch(ctx.params().n(), |scratch| {
             ctx.decapsulate_wire_with_scratch(sk, ct_bytes, scratch)
         })?;
-        let session = Self::derive(ss.as_bytes(), ct_bytes, Role::Responder, metrics);
-        let expected = confirm_tag(&session.i2r, &session.sid);
+        let (session, expected) = Self::derive(ss.as_bytes(), ct_bytes, Role::Responder, metrics);
         // ct-allow(the comparison itself is ct_eq; its verdict is the public accept/reject)
         if !ct::ct_eq(&expected, confirm) {
             return Err(SessionError::HandshakeFailed);
@@ -453,13 +463,12 @@ impl Session {
 
     /// The sender for traffic flowing from this end to the peer.
     pub fn sender(&self) -> StreamSender {
-        let keys = match self.role {
+        let aead = match self.role {
             Role::Initiator => self.i2r.clone(),
             Role::Responder => self.r2i.clone(),
         };
         StreamSender {
-            keys,
-            sid: self.sid,
+            aead,
             seq: 0,
             metrics: self.metrics.clone(),
         }
@@ -467,13 +476,12 @@ impl Session {
 
     /// The receiver for traffic flowing from the peer to this end.
     pub fn receiver(&self) -> StreamReceiver {
-        let keys = match self.role {
+        let aead = match self.role {
             Role::Initiator => self.r2i.clone(),
             Role::Responder => self.i2r.clone(),
         };
         StreamReceiver {
-            keys,
-            sid: self.sid,
+            aead,
             expected_seq: 0,
             metrics: self.metrics.clone(),
         }
@@ -663,8 +671,7 @@ mod tests {
     fn fixed_sender(seq: u64) -> StreamSender {
         let sid = [0x5Au8; SID_LEN];
         StreamSender {
-            keys: DirectionKeys::derive(&[0x11u8; 32], DS_I2R, &sid),
-            sid,
+            aead: derive_direction(&[0x11u8; 32], DS_I2R, &sid).0,
             seq,
             metrics: None,
         }
@@ -676,30 +683,21 @@ mod tests {
         let payload: Vec<u8> = (0..100u8).collect();
         let frame = fixed_sender(seq).seal(&payload);
 
-        let sid = [0x5Au8; SID_LEN];
+        // enc = KDF2(ss, "rlwe-engine/i2r" ‖ sid, 64)[..32]; the AEAD
+        // itself is pinned against its scalar path and Python's
+        // `cryptography` in rlwe-hash.
         let mut info = DS_I2R.to_vec();
-        info.extend_from_slice(&sid);
+        info.extend_from_slice(&[0x5Au8; SID_LEN]);
         let okm = kdf2(&[0x11u8; 32], &info, 64);
-        let mut keystream = Vec::new();
-        for i in 0u32..4 {
-            let mut h = Sha256::new();
-            h.update(&okm[..32]);
-            h.update(DS_KEYSTREAM);
-            h.update(&sid);
-            h.update(&[0, 0]);
-            h.update(&u64::to_be_bytes(seq));
-            h.update(&i.to_be_bytes());
-            keystream.extend_from_slice(&h.finalize());
-        }
-        let body: Vec<u8> = payload.iter().zip(&keystream).map(|(p, k)| p ^ k).collect();
-        let mut want = vec![MAGIC];
+        let enc: [u8; 32] = okm[..32].try_into().unwrap();
+        let mut want = vec![0xF6];
         want.extend_from_slice(&seq.to_be_bytes());
         want.extend_from_slice(&100u32.to_be_bytes());
+        let mut body = payload.clone();
+        let tag = ChaCha20Poly1305::new(&enc).seal_in_place(seq, &want, &mut body);
         want.extend_from_slice(&body);
-        let mut mac = HmacSha256::new(&okm[32..]);
-        mac.update(&sid);
-        mac.update(&want);
-        want.extend_from_slice(&mac.finalize());
+        want.extend_from_slice(&tag);
+        assert_eq!(frame.len(), payload.len() + FRAME_OVERHEAD);
         assert_eq!(frame, want);
     }
 
@@ -712,11 +710,35 @@ mod tests {
             .map(|b| format!("{b:02x}"))
             .collect();
         // A change here changes every frame on the wire: peers on either
-        // side of it no longer interoperate.
+        // side of it no longer interoperate. Python `cryptography`'s
+        // ChaCha20Poly1305 over the same KDF2 key, nonce and header gives
+        // the same digest.
         assert_eq!(
             hex,
-            "e835c19e421bb4249e228d346250ec7c991d2c0baf54b8d270723743ce8ed1e7"
+            "92678dfed9746ea4aee5c1ff9827fadb75aeb7a2000b2dbcc0b60624a053be48"
         );
+    }
+
+    #[test]
+    fn open_exact_rejects_trailing_bytes_without_advancing() {
+        let (alice, bob) = establish();
+        let mut tx = alice.sender();
+        let mut rx = bob.receiver();
+        let frame = tx.seal(b"exactly one");
+        let mut padded = frame.clone();
+        padded.extend_from_slice(b"junk");
+        assert_eq!(rx.open_exact(&padded), Err(SessionError::TrailingBytes(4)));
+        assert_eq!(rx.expected_seq(), 0);
+        // Two whole frames are not one frame either.
+        let mut two = frame.clone();
+        two.extend_from_slice(&tx.seal(b"second"));
+        assert!(matches!(
+            rx.open_exact(&two),
+            Err(SessionError::TrailingBytes(_))
+        ));
+        assert_eq!(rx.open_exact(&frame).unwrap(), b"exactly one");
+        assert_eq!(rx.expected_seq(), 1);
+        assert_eq!(FRAME_OVERHEAD, 29);
     }
 
     #[test]

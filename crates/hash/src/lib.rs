@@ -1,13 +1,16 @@
-//! SHA-256, HMAC-SHA256, KDF2 and a SHA-256 counter-mode keystream —
-//! implemented from scratch.
+//! SHA-256, HMAC-SHA256, KDF2 and ChaCha20-Poly1305 — implemented from
+//! scratch.
 //!
 //! The paper compares its ring-LWE encryption against ECIES (Table IV).
 //! ECIES needs a key-derivation function and a MAC on top of the curve
 //! arithmetic; since this reproduction builds every substrate itself, the
 //! hash stack lives here. The implementations follow FIPS 180-4 (SHA-256),
 //! RFC 2104 (HMAC) and ISO 18033-2 (KDF2) and are validated against the
-//! published test vectors. [`Keystream`] is the session layer's frame
-//! cipher: one compression per 32 output bytes from a keyed midstate.
+//! published test vectors. [`ChaCha20Poly1305`] (RFC 8439) is the
+//! session layer's frame AEAD; its ChaCha20 runs eight blocks at a time
+//! on an AVX2 kernel where the CPU has one, and its scalar block
+//! function is the fallback and the test oracle. HMAC stays for the
+//! handshake's key-confirmation tag.
 //!
 //! # Example
 //!
@@ -23,23 +26,31 @@
 //! ```
 
 // `deny` rather than the workspace `forbid`: the SHA-NI compression
-// backend (src/shani.rs) needs `#[target_feature]` intrinsics, and
+// backend (src/shani.rs) and the AVX2 ChaCha20 kernel
+// (src/chacha_avx2.rs) need `#[target_feature]` intrinsics, and
 // `forbid` cannot be overridden by a scoped allow. The only `unsafe`
-// in the crate is the detection-gated `shani::kernel` module
-// (mirroring the rlwe-ntt / rlwe-sampler AVX2 precedent).
+// in the crate is the two detection-gated `kernel` modules,
+// `shani::kernel` and `chacha_avx2::kernel` (mirroring the rlwe-ntt /
+// rlwe-sampler AVX2 precedent).
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
+mod aead;
+mod chacha20;
+#[cfg(target_arch = "x86_64")]
+mod chacha_avx2;
 mod hmac;
 mod kdf;
-mod keystream;
+mod poly1305;
 mod sha256;
 #[cfg(target_arch = "x86_64")]
 mod shani;
 
 pub mod probe;
 
+pub use aead::{BadTag, ChaCha20Poly1305, TAG_LEN};
+pub use chacha20::chacha20_xor;
 pub use hmac::HmacSha256;
 pub use kdf::kdf2;
-pub use keystream::Keystream;
+pub use poly1305::poly1305;
 pub use sha256::Sha256;

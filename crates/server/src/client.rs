@@ -7,11 +7,11 @@
 //! integration tests and load generators rather than production client
 //! stacks.
 
-use crate::wire::{self, OpCode, Response, Status, REJECT_RETRYABLE};
+use crate::wire::{self, OpCode, ProtocolError, Response, Status, MAX_BODY, REJECT_RETRYABLE};
 use crate::ServerError;
 use rlwe_core::drbg::HashDrbg;
 use rlwe_core::{PublicKey, RlweError};
-use rlwe_engine::{Session, SessionError, StreamReceiver, StreamSender};
+use rlwe_engine::{Session, SessionError, StreamReceiver, StreamSender, FRAME_OVERHEAD};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
@@ -60,8 +60,13 @@ impl Client {
     /// # Errors
     ///
     /// Transport and framing errors only; non-`Ok` statuses are
-    /// returned as `Ok(Response)`.
+    /// returned as `Ok(Response)`. A `body` longer than [`MAX_BODY`],
+    /// which the server would refuse, is [`ProtocolError::TooLarge`] and
+    /// is never written.
     pub fn request_raw(&mut self, op: OpCode, body: &[u8]) -> Result<Response, ServerError> {
+        if body.len() > MAX_BODY {
+            return Err(ProtocolError::TooLarge(body.len() as u64).into());
+        }
         wire::write_frame(&mut self.stream, &wire::encode_request(op, body))?;
         wire::read_response(&mut self.stream)
     }
@@ -163,8 +168,10 @@ impl Client {
     /// # Errors
     ///
     /// [`ServerError::Session`] if no session is bound or the response
-    /// frame fails to authenticate; see [`Client::request`] for the
-    /// rest.
+    /// is not exactly one authentic frame; [`ServerError::Protocol`]
+    /// ([`ProtocolError::TooLarge`]) if the sealed frame would exceed the
+    /// wire's [`MAX_BODY`], checked before sealing so the sequence number
+    /// stays unused; see [`Client::request`] for the rest.
     pub fn exchange(&mut self, payload: &[u8]) -> Result<Vec<u8>, ServerError> {
         let (tx, _) = self
             .session
@@ -172,6 +179,10 @@ impl Client {
             .ok_or(ServerError::Session(SessionError::Scheme(
                 "no session; call handshake first".to_string(),
             )))?;
+        let frame_len = payload.len() + FRAME_OVERHEAD;
+        if frame_len > MAX_BODY {
+            return Err(ProtocolError::TooLarge(frame_len as u64).into());
+        }
         let sealed = tx.seal(payload);
         let resp = self.request(OpCode::SessionFrame, &sealed)?;
         // `request` never clears an established session, but a typed
@@ -181,8 +192,7 @@ impl Client {
                 "session dropped mid-exchange".to_string(),
             )));
         };
-        let (echo, _) = rx.open(&resp)?;
-        Ok(echo)
+        Ok(rx.open_exact(&resp)?)
     }
 
     /// Server-side encryption of `msg` under the server's own key;

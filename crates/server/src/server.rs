@@ -445,10 +445,12 @@ fn dispatch_request(shared: &Shared, session: &mut Option<ConnSession>, req: Req
                 REJECT_PERMANENT,
                 "no session established on this connection",
             ),
-            Some(s) => match s.rx.open(&req.body) {
+            // The body must be exactly one frame: junk after a valid
+            // frame is rejected before it can advance the receiver.
+            Some(s) => match s.rx.open_exact(&req.body) {
                 // Authenticated echo: the opened payload goes back
                 // sealed in the server→client direction.
-                Ok((payload, _)) => ok(s.tx.seal(&payload)),
+                Ok(payload) => ok(s.tx.seal(&payload)),
                 Err(e) => rejected(REJECT_PERMANENT, e),
             },
         },

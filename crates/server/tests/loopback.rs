@@ -10,11 +10,13 @@
 //! reads the per-server queue directly.
 
 use rlwe_core::drbg::HashDrbg;
-use rlwe_core::PublicKey;
-use rlwe_engine::{Session, StreamReceiver, StreamSender};
-use rlwe_server::wire::{self, OpCode, Status, REJECT_PERMANENT, REJECT_RETRYABLE};
-use rlwe_server::{http_get, serve, Client, ServerConfig, ServerHandle};
-use std::net::{SocketAddr, TcpStream};
+use rlwe_core::{ParamSet, PublicKey};
+use rlwe_engine::{Session, SessionError, StreamReceiver, StreamSender, FRAME_OVERHEAD};
+use rlwe_server::wire::{
+    self, OpCode, ProtocolError, ReadOutcome, Status, MAX_BODY, REJECT_PERMANENT, REJECT_RETRYABLE,
+};
+use rlwe_server::{http_get, serve, Client, ServerConfig, ServerError, ServerHandle};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -332,6 +334,7 @@ fn malformed_frames_are_rejected_without_state_damage() {
     let addr = handle.local_addr();
 
     tampered_session_frame_rejected_without_advancing_state(addr);
+    session_frame_with_trailing_bytes_rejected_without_advancing_state(addr);
     unknown_opcode_answered_with_bad_request(addr, &handle);
     oversized_length_prefix_rejected_before_the_body(addr, &handle);
     truncated_frame_rejected(addr, &handle);
@@ -375,6 +378,38 @@ fn tampered_session_frame_rejected_without_advancing_state(addr: SocketAddr) {
     );
     let (echo, _) = sess.rx.open(&resp.body).unwrap();
     assert_eq!(echo, payload);
+}
+
+fn session_frame_with_trailing_bytes_rejected_without_advancing_state(addr: SocketAddr) {
+    let mut sess = raw_handshake(addr, &[7u8; 32]);
+    let payload = b"one frame, then junk";
+    let sealed = sess.tx.seal(payload);
+
+    // A valid frame with bytes after it is not one frame: rejected.
+    let mut padded = sealed.clone();
+    padded.extend_from_slice(b"junk");
+    wire::write_frame(
+        &mut sess.stream,
+        &wire::encode_request(OpCode::SessionFrame, &padded),
+    )
+    .unwrap();
+    let resp = wire::read_response(&mut sess.stream).unwrap();
+    assert_eq!(resp.status, Status::Rejected);
+    assert_eq!(resp.body.first(), Some(&REJECT_PERMANENT));
+
+    // The same frame alone still opens as sequence 0.
+    wire::write_frame(
+        &mut sess.stream,
+        &wire::encode_request(OpCode::SessionFrame, &sealed),
+    )
+    .unwrap();
+    let resp = wire::read_response(&mut sess.stream).unwrap();
+    assert_eq!(
+        resp.status,
+        Status::Ok,
+        "the padded frame advanced the server"
+    );
+    assert_eq!(sess.rx.open_exact(&resp.body).unwrap(), payload);
 }
 
 fn unknown_opcode_answered_with_bad_request(addr: SocketAddr, handle: &ServerHandle) {
@@ -478,4 +513,84 @@ fn shutdown_wakes_the_blocked_acceptor_on_loopback_and_unspecified_binds() {
             "{bind}: the listener outlived shutdown"
         );
     }
+}
+
+// ------------------------------------------------------------------------
+// Client-side framing bounds: a reply must be exactly one frame, and a
+// request the server would refuse for size is never sealed or sent.
+// ------------------------------------------------------------------------
+
+#[test]
+fn client_rejects_a_reply_with_trailing_bytes() {
+    let ctx = rlwe_engine::global_pool().get(ParamSet::P1).unwrap();
+    let (pk, sk) = ctx.generate_keypair(&mut HashDrbg::new([8u8; 32])).unwrap();
+    let pk_bytes = pk.to_bytes().unwrap();
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    // A one-connection peer that echoes correctly but appends junk.
+    let peer = std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().unwrap();
+        let mut halves = None;
+        while let ReadOutcome::Frame(req) = wire::read_request(&mut stream) {
+            let (status, body) = match req.op {
+                OpCode::PublicKey => (Status::Ok, pk_bytes.clone()),
+                OpCode::SessionHello => match Session::accept(&ctx, &sk, &req.body) {
+                    Ok(sess) => {
+                        halves = Some((sess.sender(), sess.receiver()));
+                        (Status::Ok, sess.id().to_vec())
+                    }
+                    Err(_) => (Status::Rejected, vec![REJECT_RETRYABLE]),
+                },
+                OpCode::SessionFrame => {
+                    let (tx, rx) = halves.as_mut().expect("handshake first");
+                    let mut reply = tx.seal(&rx.open_exact(&req.body).unwrap());
+                    reply.extend_from_slice(b"junk");
+                    (Status::Ok, reply)
+                }
+                op => panic!("unexpected op {op:?}"),
+            };
+            wire::write_frame(&mut stream, &wire::encode_response(status, &body)).unwrap();
+        }
+    });
+
+    let mut client = Client::connect(addr).unwrap();
+    client.handshake(&[9u8; 32], 16).unwrap();
+    let err = client.exchange(b"echo me").unwrap_err();
+    assert!(
+        matches!(err, ServerError::Session(SessionError::TrailingBytes(4))),
+        "{err}"
+    );
+    drop(client);
+    peer.join().unwrap();
+}
+
+#[test]
+fn oversize_exchange_is_refused_before_it_uses_a_sequence_number() {
+    let handle = serve(base_config()).unwrap();
+    let mut client = Client::connect(handle.local_addr()).unwrap();
+    client.handshake(&[10u8; 32], 16).unwrap();
+
+    let largest = MAX_BODY - FRAME_OVERHEAD;
+    let err = client.exchange(&vec![0xA5; largest + 1]).unwrap_err();
+    assert!(
+        matches!(err, ServerError::Protocol(ProtocolError::TooLarge(n)) if n == MAX_BODY as u64 + 1),
+        "{err}"
+    );
+    // Sequence 0 is still unused: the server, which expects 0, opens the
+    // next frame, and the largest frame the wire carries goes through.
+    assert_eq!(client.exchange(b"next").unwrap(), b"next");
+    let big = vec![0x5A; largest];
+    assert_eq!(client.exchange(&big).unwrap(), big);
+
+    // A raw request over the bound is refused before anything is
+    // written, so the connection stays in step.
+    let err = client
+        .request_raw(OpCode::Ping, &vec![0; MAX_BODY + 1])
+        .unwrap_err();
+    assert!(
+        matches!(err, ServerError::Protocol(ProtocolError::TooLarge(_))),
+        "{err}"
+    );
+    assert_eq!(client.ping(b"still in step").unwrap(), b"still in step");
+    handle.shutdown();
 }

@@ -19,7 +19,7 @@
 //!   KEM ([`scheme::kem`]), CCA ([`scheme::fo`]) extensions and the
 //!   seed-deterministic DRBG ([`scheme::drbg`]).
 //! * [`hash`] — SHA-256 / HMAC / KDF2 substrate for the ECC baseline, and
-//!   the counter-mode keystream of the engine's session framing.
+//!   the ChaCha20-Poly1305 AEAD of the engine's session framing.
 //! * [`ecc`] — GF(2²³³)/K-233 ECIES baseline the paper compares against.
 //! * [`m4sim`] — Cortex-M4F cost model that regenerates the paper's
 //!   cycle-count tables.
