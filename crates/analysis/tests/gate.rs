@@ -2,7 +2,7 @@
 //! has any analysis finding not in the committed baseline — or when the
 //! baseline has gone stale (the code improved; ratchet it down).
 
-use rlwe_analysis::findings::{diff_baseline, parse_baseline};
+use rlwe_analysis::findings::{diff_baseline, parse_baseline, Rule};
 
 #[test]
 fn workspace_findings_match_the_committed_baseline() {
@@ -131,6 +131,43 @@ fn frame_aead_is_linted_as_secret_handling() {
             .any(|f| f.rule == rlwe_analysis::findings::Rule::CtBranch),
         "{findings:?}"
     );
+}
+
+#[test]
+fn the_servers_static_key_is_tracked_through_serve() {
+    // `serve` derives the long-term keypair from the seed's DRBG and
+    // hands it to every thread through `Shared`. Its ct-allow comments
+    // are each a reviewed claim about one such flow; with them stripped
+    // the lint must report those flows, so no wrapper can hide the key
+    // from the analysis unnoticed.
+    let path = rlwe_analysis::workspace_root().join("crates/server/src/server.rs");
+    let src = std::fs::read_to_string(&path).expect("server.rs readable");
+    let stripped: String = src
+        .lines()
+        .filter(|l| !l.trim_start().starts_with("// ct-allow("))
+        .map(|l| format!("{l}\n"))
+        .collect();
+    let findings = rlwe_analysis::analyze(&rlwe_analysis::load_sources(vec![(
+        "rlwe-server".into(),
+        "crates/server/src/server.rs".into(),
+        stripped,
+    )]))
+    .findings;
+    let in_serve: Vec<_> = findings.iter().filter(|f| f.function == "serve").collect();
+    assert!(
+        in_serve
+            .iter()
+            .any(|f| f.rule == Rule::CtTry && f.detail.contains("`pk`")),
+        "key generation's `?` is not tracked: {in_serve:?}"
+    );
+    for callee in ["acceptor_loop", "worker_loop"] {
+        assert!(
+            in_serve
+                .iter()
+                .any(|f| f.rule == Rule::CtCallSink && f.detail.contains(callee)),
+            "the key's flow into `{callee}` is not tracked: {in_serve:?}"
+        );
+    }
 }
 
 #[test]

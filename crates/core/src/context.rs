@@ -9,8 +9,7 @@
 //!   [`RlweContext::decrypt_into`], [`RlweContext::generate_keypair_into`])
 //!   — allocation-free after warm-up: every working polynomial comes from a
 //!   caller-provided [`PolyScratch`] arena and the outputs reuse the
-//!   storage already inside the destination objects. The engine's batch
-//!   workers (one scratch per thread) run exclusively on these.
+//!   storage already inside the destination objects.
 //!
 //! Construction goes through [`RlweContextBuilder`], whose one knob is the
 //! sampler variant ([`SamplerKind`]). The NTT is not configurable: every

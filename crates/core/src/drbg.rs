@@ -2,11 +2,10 @@
 //! SHA-256 in counter mode.
 //!
 //! Originally private to the FO transform ([`crate::fo`]), promoted to a
-//! public module as the seed-deterministic entry point batch processing
-//! needs: a batch engine derives one independent stream per item from a
-//! master seed (see [`HashDrbg::for_stream`]), making batched output
-//! bit-identical to sequential output for the same master seed —
-//! reproducible, testable, and independent of worker scheduling.
+//! public module as a seed-deterministic coin source: a caller derives
+//! one independent stream per request or handshake attempt from a
+//! master seed (see [`HashDrbg::for_stream`]), so output is reproducible
+//! and testable regardless of which thread runs it.
 
 use rand::{CryptoRng, Error as RandError, RngCore};
 use rlwe_hash::Sha256;
@@ -53,8 +52,8 @@ impl HashDrbg {
     /// `HashDrbg::new(SHA-256("rlwe-drbg/stream" ‖ master ‖ index))`.
     ///
     /// Distinct indices give computationally independent streams, so a
-    /// batch engine can hand stream `i` to item `i` regardless of which
-    /// worker thread processes it.
+    /// caller can hand stream `i` to request `i` regardless of which
+    /// thread processes it.
     pub fn for_stream(master: &[u8; 32], index: u64) -> Self {
         let mut h = Sha256::new();
         h.update(DS_STREAM);
@@ -125,7 +124,7 @@ impl RngCore for HashDrbg {
     }
 }
 
-// The DRBG is used with secret seeds (FO coins, batch master seeds).
+// The DRBG is used with secret seeds (FO coins, server key seeds).
 impl CryptoRng for HashDrbg {}
 
 // Both the seed and the buffered output block are key material.

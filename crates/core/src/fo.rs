@@ -99,7 +99,7 @@ impl RlweContext {
     }
 
     /// CCA encapsulation borrowing its working polynomials from `scratch`
-    /// — the batch sibling of [`RlweContext::encapsulate_cca`]. Output is
+    /// — the allocation-free sibling of [`RlweContext::encapsulate_cca`]. Output is
     /// bit-identical to the allocating path for the same RNG state.
     ///
     /// # Errors
@@ -172,7 +172,7 @@ impl RlweContext {
     }
 
     /// CCA decapsulation borrowing its working polynomials from `scratch`
-    /// — the batch/session sibling of [`RlweContext::decapsulate_cca`].
+    /// — the allocation-free sibling of [`RlweContext::decapsulate_cca`].
     ///
     /// This path is **branch-free on secrets**: both the accept key
     /// `H(key ‖ m ‖ ct)` and the implicit-rejection key

@@ -149,7 +149,7 @@ impl RlweContext {
     }
 
     /// Decapsulation borrowing its working polynomial from `scratch` —
-    /// the batch/session sibling of [`RlweContext::decapsulate`].
+    /// the session handshake's sibling of [`RlweContext::decapsulate`].
     ///
     /// # Errors
     ///

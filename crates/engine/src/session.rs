@@ -57,9 +57,7 @@ use rlwe_core::{PolyScratch, PublicKey, RlweContext, RlweError, SecretKey};
 use rlwe_hash::{kdf2, ChaCha20Poly1305, HmacSha256, Sha256};
 use rlwe_zq::ct;
 
-use crate::metrics::EngineMetrics;
 use rand::RngCore;
-use std::sync::Arc;
 
 /// Frame magic byte.
 const MAGIC: u8 = 0xF6;
@@ -190,7 +188,6 @@ fn derive_direction(
 pub struct StreamSender {
     aead: ChaCha20Poly1305,
     seq: u64,
-    metrics: Option<Arc<EngineMetrics>>,
 }
 
 impl StreamSender {
@@ -217,9 +214,6 @@ impl StreamSender {
         let (header, body) = frame.split_at_mut(HEADER_LEN);
         let tag = self.aead.seal_in_place(seq, header, body);
         frame.extend_from_slice(&tag);
-        if let Some(m) = &self.metrics {
-            m.frames_sealed.inc();
-        }
         frame
     }
 
@@ -233,7 +227,6 @@ impl StreamSender {
 pub struct StreamReceiver {
     aead: ChaCha20Poly1305,
     expected_seq: u64,
-    metrics: Option<Arc<EngineMetrics>>,
 }
 
 impl StreamReceiver {
@@ -247,7 +240,7 @@ impl StreamReceiver {
     /// advances on success, so a tampered frame can be re-delivered
     /// intact and still be accepted.
     pub fn open(&mut self, buf: &[u8]) -> Result<(Vec<u8>, usize), SessionError> {
-        self.open_counted(buf, false)
+        self.open_inner(buf, false)
     }
 
     /// Opens `buf`, which must hold exactly one frame, and returns its
@@ -260,18 +253,7 @@ impl StreamReceiver {
     /// when bytes follow the frame. That check runs before the tag
     /// check, so such a buffer never advances the receiver.
     pub fn open_exact(&mut self, buf: &[u8]) -> Result<Vec<u8>, SessionError> {
-        self.open_counted(buf, true).map(|(payload, _)| payload)
-    }
-
-    fn open_counted(&mut self, buf: &[u8], exact: bool) -> Result<(Vec<u8>, usize), SessionError> {
-        let result = self.open_inner(buf, exact);
-        if let Some(m) = &self.metrics {
-            match &result {
-                Ok(_) => m.frames_opened.inc(),
-                Err(_) => m.frames_rejected.inc(),
-            };
-        }
-        result
+        self.open_inner(buf, true).map(|(payload, _)| payload)
     }
 
     fn open_inner(&mut self, buf: &[u8], exact: bool) -> Result<(Vec<u8>, usize), SessionError> {
@@ -356,18 +338,12 @@ pub struct Session {
     role: Role,
     i2r: ChaCha20Poly1305,
     r2i: ChaCha20Poly1305,
-    metrics: Option<Arc<EngineMetrics>>,
 }
 
 impl Session {
     /// The session over shared secret `ss`, and the handshake's confirm
     /// tag.
-    fn derive(
-        ss: &[u8],
-        ct_bytes: &[u8],
-        role: Role,
-        metrics: Option<Arc<EngineMetrics>>,
-    ) -> (Self, [u8; CONFIRM_LEN]) {
+    fn derive(ss: &[u8], ct_bytes: &[u8], role: Role) -> (Self, [u8; CONFIRM_LEN]) {
         let sid = session_id(ct_bytes);
         let (i2r, mut mac_i2r) = derive_direction(ss, DS_I2R, &sid);
         let (r2i, mut mac_r2i) = derive_direction(ss, DS_R2I, &sid);
@@ -379,7 +355,6 @@ impl Session {
             role,
             i2r,
             r2i,
-            metrics,
         };
         (session, confirm)
     }
@@ -397,20 +372,11 @@ impl Session {
         pk: &PublicKey,
         rng: &mut R,
     ) -> Result<(Self, Vec<u8>), SessionError> {
-        Self::initiate_with_metrics(ctx, pk, rng, None)
-    }
-
-    pub(crate) fn initiate_with_metrics<R: RngCore + ?Sized>(
-        ctx: &RlweContext,
-        pk: &PublicKey,
-        rng: &mut R,
-        metrics: Option<Arc<EngineMetrics>>,
-    ) -> Result<(Self, Vec<u8>), SessionError> {
         // The KEM hashed exactly these bytes; they open the hello as is.
         let (ct_bytes, ss) = with_thread_scratch(ctx.params().n(), |scratch| {
             ctx.encapsulate_wire(pk, rng, &mut ctx.empty_ciphertext(), scratch)
         })?;
-        let (session, confirm) = Self::derive(ss.as_bytes(), &ct_bytes, Role::Initiator, metrics);
+        let (session, confirm) = Self::derive(ss.as_bytes(), &ct_bytes, Role::Initiator);
         let mut hello = ct_bytes;
         hello.extend_from_slice(&confirm);
         Ok((session, hello))
@@ -426,15 +392,6 @@ impl Session {
     ///   the documented ~1% KEM decryption-failure case; the initiator
     ///   should retry with a fresh handshake.
     pub fn accept(ctx: &RlweContext, sk: &SecretKey, hello: &[u8]) -> Result<Self, SessionError> {
-        Self::accept_with_metrics(ctx, sk, hello, None)
-    }
-
-    pub(crate) fn accept_with_metrics(
-        ctx: &RlweContext,
-        sk: &SecretKey,
-        hello: &[u8],
-        metrics: Option<Arc<EngineMetrics>>,
-    ) -> Result<Self, SessionError> {
         if hello.len() <= CONFIRM_LEN {
             return Err(SessionError::Truncated);
         }
@@ -442,7 +399,7 @@ impl Session {
         let ss = with_thread_scratch(ctx.params().n(), |scratch| {
             ctx.decapsulate_wire_with_scratch(sk, ct_bytes, scratch)
         })?;
-        let (session, expected) = Self::derive(ss.as_bytes(), ct_bytes, Role::Responder, metrics);
+        let (session, expected) = Self::derive(ss.as_bytes(), ct_bytes, Role::Responder);
         // ct-allow(the comparison itself is ct_eq; its verdict is the public accept/reject)
         if !ct::ct_eq(&expected, confirm) {
             return Err(SessionError::HandshakeFailed);
@@ -467,11 +424,7 @@ impl Session {
             Role::Initiator => self.i2r.clone(),
             Role::Responder => self.r2i.clone(),
         };
-        StreamSender {
-            aead,
-            seq: 0,
-            metrics: self.metrics.clone(),
-        }
+        StreamSender { aead, seq: 0 }
     }
 
     /// The receiver for traffic flowing from the peer to this end.
@@ -483,7 +436,6 @@ impl Session {
         StreamReceiver {
             aead,
             expected_seq: 0,
-            metrics: self.metrics.clone(),
         }
     }
 }
@@ -673,7 +625,6 @@ mod tests {
         StreamSender {
             aead: derive_direction(&[0x11u8; 32], DS_I2R, &sid).0,
             seq,
-            metrics: None,
         }
     }
 

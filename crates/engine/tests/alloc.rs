@@ -147,24 +147,4 @@ fn into_paths_are_polynomial_allocation_free_after_warm_up() {
         enc_into_total < enc_alloc_total,
         "encrypt_into must allocate less in total ({enc_into_total} vs {enc_alloc_total})"
     );
-
-    // --- Engine batch path: zero per-item poly allocations after warm-up.
-    // workers=1 keeps the whole batch on this thread so the counters see
-    // exactly the batch's allocations (thread spawns are per-batch anyway).
-    let mut out: Vec<_> = (0..ITEMS).map(|_| ctx.empty_ciphertext()).collect();
-    rlwe_engine::encrypt_batch_into(&ctx, &pk, &msgs, &master, 1, &mut out).unwrap();
-    let (_, batch_poly) = counted(|| {
-        rlwe_engine::encrypt_batch_into(&ctx, &pk, &msgs, &master, 1, &mut out).unwrap();
-    });
-    // One worker-local PolyScratch is created per batch; its three buffers
-    // are the only polynomial-sized allocations allowed — i.e. a constant
-    // per *batch*, zero per *item*.
-    assert!(
-        batch_poly <= 4,
-        "batch of {ITEMS} made {batch_poly} polynomial-sized allocations \
-         (must be O(1) per batch, not O(items))"
-    );
-    for (a, b) in cts.iter().zip(&out) {
-        assert_eq!(a, b, "batch _into output must match the allocating path");
-    }
 }

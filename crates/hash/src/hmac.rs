@@ -63,15 +63,6 @@ impl HmacSha256 {
         self.outer.finalize()
     }
 
-    /// Erases both padded-key states. A keyed context that is kept
-    /// around — cloned once per message instead of re-keyed — stands in
-    /// for the key, so its owner calls this before dropping it. The
-    /// context must not be used afterwards.
-    pub fn scrub(&mut self) {
-        self.inner.scrub();
-        self.outer.scrub();
-    }
-
     /// One-shot MAC.
     pub fn mac(key: &[u8], message: &[u8]) -> [u8; 32] {
         let mut h = Self::new(key);

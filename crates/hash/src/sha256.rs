@@ -151,15 +151,6 @@ impl Sha256 {
         self.fill = rest.len();
     }
 
-    /// Erases the chaining state and buffered tail, leaving a fresh
-    /// hasher: for a prefix-keyed state kept across messages (HMAC's
-    /// padded-key states) before it is dropped.
-    pub(crate) fn scrub(&mut self) {
-        rlwe_zq::ct::zeroize_u32(&mut self.state);
-        rlwe_zq::ct::zeroize(&mut self.block);
-        *self = Self::new();
-    }
-
     /// Consumes the hasher and returns the digest.
     pub fn finalize(mut self) -> [u8; 32] {
         crate::probe::record(self.length);
@@ -386,14 +377,6 @@ mod tests {
         crate::probe::start();
         Sha256::digest_one_block_pair(&[1u8; 40], &[2u8; 24]);
         assert_eq!(crate::probe::take(), vec![40, 24]);
-    }
-
-    #[test]
-    fn scrub_leaves_a_fresh_hasher() {
-        let mut h = Sha256::new();
-        h.update(&[0x5Au8; 100]);
-        h.scrub();
-        assert_eq!(h.finalize(), Sha256::digest(b""));
     }
 
     #[test]

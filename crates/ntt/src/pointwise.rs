@@ -8,7 +8,7 @@
 //! [`NttError::LengthMismatch`] instead of panicking; the unchecked loop
 //! bodies live in [`rlwe_zq::SliceOps`] so the `Poly` layer above shares
 //! them. The `_into` variants write into caller-provided buffers and are
-//! the allocation-free path the engine's batch workers use.
+//! the allocation-free path the scheme's `_into` entry points use.
 //!
 //! All entry points are generic over the reduction strategy
 //! ([`rlwe_zq::Reducer`]): passing `&Modulus` gives the runtime-Barrett

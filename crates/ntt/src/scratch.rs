@@ -4,9 +4,9 @@
 //! encoded message; decrypt: one working polynomial) need short-lived
 //! n-coefficient buffers. Allocating them per call is what made every
 //! `encrypt` cost six heap allocations; a `PolyScratch` owned by the
-//! caller (one per worker thread in `rlwe-engine`'s batch fan-out) pays
-//! those allocations once and then serves every subsequent operation
-//! allocation-free.
+//! caller (one per thread, as `rlwe-engine`'s session handshakes keep
+//! it) pays those allocations once and then serves every subsequent
+//! operation allocation-free.
 //!
 //! Discipline: `PolyScratch` is deliberately **not** `Sync` — each worker
 //! thread owns its own arena. Buffers are checked out with

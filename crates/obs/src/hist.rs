@@ -4,8 +4,7 @@
 //! quantiles. All statistics are derived from one [`HistogramSnapshot`],
 //! a single pass over the cells, so a concurrent reader always sees the
 //! count, sum and quantiles of one set of completed records. This is the
-//! workspace's only histogram: registry series and `rlwe-engine`'s
-//! per-engine report cells are both instances of it.
+//! workspace's only histogram type.
 //!
 //! Recording is a shard pick (thread-local, assigned round-robin on
 //! first use) plus four `fetch_add`s — no locks, no CAS loops. Two of

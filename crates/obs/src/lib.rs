@@ -17,8 +17,8 @@
 //!   snapshot, both pure functions of a registry so a future network
 //!   front-end can serve [`render`] verbatim.
 //!
-//! The shared aligned-text-table formatter used by `EngineMetrics::report`
-//! and `rlwe-m4sim`'s table reproduction lives in [`table`].
+//! The aligned-text-table formatter behind `rlwe-m4sim`'s table
+//! reproduction lives in [`table`].
 //!
 //! # No secret data
 //!

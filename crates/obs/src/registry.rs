@@ -6,7 +6,7 @@
 //! underlying atomic cells; recording through the handle afterwards
 //! never touches the lock. Registering the same `(name, labels)` pair
 //! again returns a handle to the *same* cells, so independent callers
-//! (two engines on the same parameter set, say) aggregate naturally.
+//! (two servers on the same parameter set, say) aggregate naturally.
 
 use crate::hist::{Histogram, HistogramSnapshot};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};

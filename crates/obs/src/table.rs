@@ -1,7 +1,7 @@
-//! Aligned text-table formatter shared by `EngineMetrics::report` and
-//! `rlwe-m4sim`'s table reproduction binaries.
+//! Aligned text-table formatter for `rlwe-m4sim`'s table reproduction
+//! binaries.
 //!
-//! Both used to hand-maintain `format!` strings like
+//! They used to hand-maintain `format!` strings like
 //! `"{:<10} {:>10} {:>8}"` — easy to desynchronize between header and
 //! rows. [`TextTable`] keeps one column spec and renders both. Padding
 //! follows `format!` minimum-width semantics: cells longer than their

@@ -105,12 +105,21 @@ pub struct ServerConfig {
     pub seed: [u8; 32],
 }
 
+/// The default worker count: the host's available parallelism, capped
+/// at 8 (1 when it cannot be read).
+pub fn default_workers() -> usize {
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
+        .min(8)
+}
+
 impl Default for ServerConfig {
     fn default() -> Self {
         Self {
             addr: SocketAddr::from(([127, 0, 0, 1], 7681)),
-            workers: rlwe_engine::default_workers(),
-            queue_shards: rlwe_engine::default_workers().min(4),
+            workers: default_workers(),
+            queue_shards: default_workers().min(4),
             queue_capacity: 64,
             max_conns: 1024,
             param_set: ParamSet::P1,

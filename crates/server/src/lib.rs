@@ -73,3 +73,88 @@ pub use metrics::{RejectReason, ServerMetrics};
 pub use queue::ShardedQueue;
 pub use server::{serve, ServerHandle};
 pub use wire::{OpCode, ProtocolError, Request, Response, Status};
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rlwe_core::ParamSet;
+
+    fn loopback_config(param_set: ParamSet) -> ServerConfig {
+        ServerConfig {
+            addr: "127.0.0.1:0".parse().unwrap(),
+            workers: 2,
+            queue_shards: 1,
+            param_set,
+            seed: [42u8; 32],
+            ..ServerConfig::default()
+        }
+    }
+
+    #[test]
+    fn sessions_through_the_engine_count_frames() {
+        // The only test in this binary serving P2, so the P2 session
+        // series move only by what it does.
+        let handle = serve(loopback_config(ParamSet::P2)).unwrap();
+        let m = handle.metrics();
+        let before = [
+            m.handshakes_total(),
+            m.frames_sealed_total(),
+            m.frames_opened_total(),
+            m.frames_rejected_total(),
+        ];
+        let mut client = Client::connect(handle.local_addr()).unwrap();
+        client.handshake(&[4u8; 32], 8).unwrap();
+        assert_eq!(client.exchange(b"metered").unwrap(), b"metered");
+        // A frame that fails authentication on the live session.
+        let resp = client
+            .request_raw(OpCode::SessionFrame, &[0u8; FRAME_PROBE])
+            .unwrap();
+        assert_eq!(resp.status, Status::Rejected);
+        let after = [
+            m.handshakes_total(),
+            m.frames_sealed_total(),
+            m.frames_opened_total(),
+            m.frames_rejected_total(),
+        ];
+        let delta: Vec<u64> = after.iter().zip(&before).map(|(a, b)| a - b).collect();
+        assert_eq!(delta, [1, 1, 1, 1]);
+        handle.shutdown();
+    }
+
+    /// Length of the forged frame: header plus tag plus a short body.
+    const FRAME_PROBE: usize = rlwe_engine::FRAME_OVERHEAD + 8;
+
+    #[test]
+    fn global_render_exposes_the_stack_metrics() {
+        // Drive the whole serving stack once, then check the global
+        // registry export names every layer's series. Presence checks
+        // only: other tests in this process write the same global
+        // series concurrently.
+        let handle = serve(loopback_config(ParamSet::P1)).unwrap();
+        let mut client = Client::connect(handle.local_addr()).unwrap();
+        client.handshake(&[31u8; 32], 8).unwrap();
+        client.exchange(b"rendered").unwrap();
+        let (_, ct) = client.encap().unwrap();
+        client.decap(&ct).unwrap();
+        let ct = client.encrypt(&[7u8; 32]).unwrap();
+        client.decrypt(&ct).unwrap();
+        let text = rlwe_obs::render();
+        for name in [
+            "rlwe_pool_hits_total",
+            "rlwe_pool_misses_total",
+            "rlwe_pool_build_ns",
+            "rlwe_ntt_dispatch_total",
+            "rlwe_sampler_draws_total",
+            "rlwe_kem_op_ns",
+            "rlwe_session_frames_sealed_total",
+            "rlwe_session_handshakes_total",
+            "rlwe_server_requests_total",
+            "rlwe_server_request_ns",
+        ] {
+            assert!(text.contains(name), "render() missing {name}:\n{text}");
+        }
+        assert!(text.contains("param_set=\"P1\""));
+        assert!(text.contains("reducer_kind=\"q7681\""));
+        handle.shutdown();
+    }
+}

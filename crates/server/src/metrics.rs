@@ -2,8 +2,8 @@
 //!
 //! All handles point into the process-wide registry
 //! ([`rlwe_obs::global`]), so a single `GET /metrics` response carries
-//! the server series next to the engine/pool/NTT series the rest of
-//! the stack already exports. Series (all prefixed `rlwe_server_`):
+//! the server and session series next to the pool/NTT/KEM series the
+//! rest of the stack already exports. Series (all prefixed `rlwe_server_`):
 //!
 //! - `connections_accepted_total`, `connections_rejected_total{reason}`,
 //!   `connections_active` — front-door accounting.
@@ -14,6 +14,19 @@
 //!   counts and latency histograms.
 //! - `idle_evictions_total` — connections closed for silence.
 //! - `http_requests_total{path}` — metrics/health scrapes.
+//!
+//! The session series keep their `rlwe_session_` prefix and a
+//! `param_set` label; `dispatch_request` counts them as it accepts
+//! hellos and opens and seals frames:
+//!
+//! - `rlwe_session_handshakes_total{role="responder"}` — hellos accepted.
+//! - `rlwe_session_handshake_failures_total` — hellos whose key
+//!   confirmation failed ([`rlwe_engine::SessionError::HandshakeFailed`]),
+//!   the per-set KEM decryption-failure signal. Malformed hellos are not
+//!   counted here; they show in
+//!   `rlwe_server_requests_total{op="session_hello"}`.
+//! - `rlwe_session_frames_{sealed,opened,rejected}_total` — frames the
+//!   server sealed, opened, and refused on an established session.
 
 use crate::wire::{OpCode, ALL_OPS};
 use rlwe_obs::{Counter, Gauge, Histogram};
@@ -57,14 +70,20 @@ pub struct ServerMetrics {
     http_healthz: Counter,
     http_other: Counter,
     dispatched: Counter,
+    handshakes: Counter,
+    handshake_failures: Counter,
+    frames_sealed: Counter,
+    frames_opened: Counter,
+    frames_rejected: Counter,
 }
 
 impl ServerMetrics {
     /// Resolves every handle against the global registry. `param_set`
-    /// labels the latency histograms; `shards` sizes the per-shard
-    /// depth gauges.
+    /// labels the latency histograms and the session series; `shards`
+    /// sizes the per-shard depth gauges.
     pub fn new(param_set: &str, shards: usize) -> Self {
         let reg = rlwe_obs::global();
+        let set_label = [("param_set", param_set)];
         let rejected = |reason: RejectReason| {
             reg.counter(
                 "rlwe_server_connections_rejected_total",
@@ -140,6 +159,31 @@ impl ServerMetrics {
                 "Connections handed from the queue to a worker.",
                 &[],
             ),
+            handshakes: reg.counter(
+                "rlwe_session_handshakes_total",
+                "Session handshakes by role.",
+                &[("param_set", param_set), ("role", "responder")],
+            ),
+            handshake_failures: reg.counter(
+                "rlwe_session_handshake_failures_total",
+                "Handshakes rejected (KEM decryption failure or bad confirm tag).",
+                &set_label,
+            ),
+            frames_sealed: reg.counter(
+                "rlwe_session_frames_sealed_total",
+                "Session frames sealed.",
+                &set_label,
+            ),
+            frames_opened: reg.counter(
+                "rlwe_session_frames_opened_total",
+                "Session frames opened (MAC verified).",
+                &set_label,
+            ),
+            frames_rejected: reg.counter(
+                "rlwe_session_frames_rejected_total",
+                "Session frames rejected (bad MAC / sequence / framing).",
+                &set_label,
+            ),
         }
     }
 
@@ -178,6 +222,28 @@ impl ServerMetrics {
         self.requests[idx].inc();
         // panic-allow(op_index is an exhaustive match onto 0..ALL_OPS.len())
         self.request_ns[idx].record(elapsed);
+    }
+
+    /// One session hello accepted.
+    pub fn on_handshake(&self) {
+        self.handshakes.inc();
+    }
+
+    /// One session hello refused on failed key confirmation (malformed
+    /// hellos are not counted).
+    pub fn on_handshake_failure(&self) {
+        self.handshake_failures.inc();
+    }
+
+    /// One session frame opened and its echo sealed.
+    pub fn on_frame_echoed(&self) {
+        self.frames_opened.inc();
+        self.frames_sealed.inc();
+    }
+
+    /// One session frame refused on an established session.
+    pub fn on_frame_rejected(&self) {
+        self.frames_rejected.inc();
     }
 
     /// One idle eviction.
@@ -222,6 +288,31 @@ impl ServerMetrics {
     /// Total idle evictions.
     pub fn idle_evictions_total(&self) -> u64 {
         self.idle_evictions.get()
+    }
+
+    /// Session hellos accepted.
+    pub fn handshakes_total(&self) -> u64 {
+        self.handshakes.get()
+    }
+
+    /// Session hellos refused on failed key confirmation.
+    pub fn handshake_failures_total(&self) -> u64 {
+        self.handshake_failures.get()
+    }
+
+    /// Session frames sealed.
+    pub fn frames_sealed_total(&self) -> u64 {
+        self.frames_sealed.get()
+    }
+
+    /// Session frames opened.
+    pub fn frames_opened_total(&self) -> u64 {
+        self.frames_opened.get()
+    }
+
+    /// Session frames refused on an established session.
+    pub fn frames_rejected_total(&self) -> u64 {
+        self.frames_rejected.get()
     }
 
     /// Requests served for one opcode.

@@ -38,8 +38,8 @@ use crate::wire::{
 };
 use crate::ServerError;
 use rlwe_core::drbg::HashDrbg;
-use rlwe_core::{Ciphertext, PublicKey, SecretKey};
-use rlwe_engine::{Engine, SessionError, StreamReceiver, StreamSender};
+use rlwe_core::{Ciphertext, PublicKey, RlweContext, SecretKey};
+use rlwe_engine::{Session, SessionError, StreamReceiver, StreamSender};
 use std::io::Read;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
@@ -64,7 +64,7 @@ struct Conn {
 /// Everything the acceptor, workers and handle share.
 struct Shared {
     config: ServerConfig,
-    engine: Engine,
+    ctx: Arc<RlweContext>,
     pk: PublicKey,
     pk_bytes: Vec<u8>,
     sk: SecretKey,
@@ -107,12 +107,12 @@ pub struct ServerHandle {
 /// context or key construction fails.
 pub fn serve(config: ServerConfig) -> Result<ServerHandle, ServerError> {
     config.validate()?;
-    let engine = Engine::builder(config.param_set)
-        .workers(config.workers)
-        .build()?;
-    let (pk, sk) = engine.generate_keypair(&config.seed)?;
+    let ctx = rlwe_engine::global_pool().get(config.param_set)?;
+    // ct-allow(key generation fails only on a parameter-set mismatch, a public property)
+    let (pk, sk) = ctx.generate_keypair(&mut HashDrbg::new(config.seed))?;
+    // ct-allow(pk is the public half of the keypair; encoding fails only on a parameter mismatch)
     let pk_bytes = pk.to_bytes()?;
-    let metrics = ServerMetrics::new(&engine.context().params().obs_label(), config.queue_shards);
+    let metrics = ServerMetrics::new(&ctx.params().obs_label(), config.queue_shards);
     let queue = ShardedQueue::new(
         config.queue_shards,
         config.queue_capacity,
@@ -122,7 +122,7 @@ pub fn serve(config: ServerConfig) -> Result<ServerHandle, ServerError> {
     let local_addr = listener.local_addr()?;
 
     let shared = Arc::new(Shared {
-        engine,
+        ctx,
         pk,
         pk_bytes,
         sk,
@@ -138,7 +138,9 @@ pub fn serve(config: ServerConfig) -> Result<ServerHandle, ServerError> {
         let shared = Arc::clone(&shared);
         std::thread::Builder::new()
             .name("rlwe-acceptor".into())
+            // ct-allow(the acceptor branches only on public state: the shutdown flag, live count and config)
             .spawn(move || acceptor_loop(&shared, listener))
+            // ct-allow(a thread spawn fails only on OS resource limits, never on key material)
             .map_err(ServerError::Io)?
     };
     let workers = (0..shared.config.workers)
@@ -146,6 +148,7 @@ pub fn serve(config: ServerConfig) -> Result<ServerHandle, ServerError> {
             let shared = Arc::clone(&shared);
             std::thread::Builder::new()
                 .name(format!("rlwe-worker-{i}"))
+                // ct-allow(workers branch on public queue and request state; sk is used only inside Session::accept)
                 .spawn(move || worker_loop(&shared, i))
                 .map_err(ServerError::Io)
         })
@@ -422,12 +425,13 @@ fn handle_request(shared: &Shared, session: &mut Option<ConnSession>, req: Reque
 }
 
 fn dispatch_request(shared: &Shared, session: &mut Option<ConnSession>, req: Request) -> Reply {
-    let ctx = shared.engine.context();
+    let ctx = &shared.ctx;
     match req.op {
         OpCode::Ping => ok(req.body),
         OpCode::PublicKey => ok(shared.pk_bytes.clone()),
-        OpCode::SessionHello => match shared.engine.accept_session(&shared.sk, &req.body) {
+        OpCode::SessionHello => match Session::accept(ctx, &shared.sk, &req.body) {
             Ok(sess) => {
+                shared.metrics.on_handshake();
                 let sid = sess.id().to_vec();
                 *session = Some(ConnSession {
                     tx: sess.sender(),
@@ -436,6 +440,7 @@ fn dispatch_request(shared: &Shared, session: &mut Option<ConnSession>, req: Req
                 ok(sid)
             }
             Err(SessionError::HandshakeFailed) => {
+                shared.metrics.on_handshake_failure();
                 rejected(REJECT_RETRYABLE, SessionError::HandshakeFailed)
             }
             Err(e) => rejected(REJECT_PERMANENT, e),
@@ -450,8 +455,14 @@ fn dispatch_request(shared: &Shared, session: &mut Option<ConnSession>, req: Req
             Some(s) => match s.rx.open_exact(&req.body) {
                 // Authenticated echo: the opened payload goes back
                 // sealed in the server→client direction.
-                Ok(payload) => ok(s.tx.seal(&payload)),
-                Err(e) => rejected(REJECT_PERMANENT, e),
+                Ok(payload) => {
+                    shared.metrics.on_frame_echoed();
+                    ok(s.tx.seal(&payload))
+                }
+                Err(e) => {
+                    shared.metrics.on_frame_rejected();
+                    rejected(REJECT_PERMANENT, e)
+                }
             },
         },
         OpCode::Encrypt => {

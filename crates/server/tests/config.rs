@@ -27,7 +27,7 @@ fn err_for(pairs: &[(&'static str, &str)]) -> ConfigError {
 fn empty_environment_yields_the_documented_defaults() {
     let cfg = ServerConfig::from_lookup(|_| None).unwrap();
     assert_eq!(cfg.addr, "127.0.0.1:7681".parse().unwrap());
-    assert_eq!(cfg.workers, rlwe_engine::default_workers());
+    assert_eq!(cfg.workers, rlwe_server::config::default_workers());
     assert_eq!(cfg.queue_shards, cfg.workers.min(4));
     assert_eq!(cfg.queue_capacity, 64);
     assert_eq!(cfg.max_conns, 1024);

@@ -243,6 +243,10 @@ struct RawSession {
     stream: TcpStream,
     tx: StreamSender,
     rx: StreamReceiver,
+    /// The server's public key.
+    pk: PublicKey,
+    /// Hellos the server refused as retryable before one was accepted.
+    retries: u64,
 }
 
 fn raw_handshake(addr: SocketAddr, seed: &[u8; 32]) -> RawSession {
@@ -273,6 +277,8 @@ fn raw_handshake(addr: SocketAddr, seed: &[u8; 32]) -> RawSession {
                     stream,
                     tx: sess.sender(),
                     rx: sess.receiver(),
+                    pk,
+                    retries: attempt,
                 }
             }
             Status::Rejected if resp.body.first() == Some(&REJECT_RETRYABLE) => continue,
@@ -592,5 +598,103 @@ fn oversize_exchange_is_refused_before_it_uses_a_sequence_number() {
         "{err}"
     );
     assert_eq!(client.ping(b"still in step").unwrap(), b"still in step");
+    handle.shutdown();
+}
+
+// ------------------------------------------------------------------------
+// The session counters on `ServerMetrics`: handshakes, confirm failures
+// (and only those), and echoed / rejected frames. This is the only test
+// in the binary serving P2, so its `param_set="P2"` series move only by
+// what it does.
+// ------------------------------------------------------------------------
+
+/// Sends one request on `stream` and returns the response.
+fn round_trip(stream: &mut TcpStream, op: OpCode, body: &[u8]) -> wire::Response {
+    wire::write_frame(stream, &wire::encode_request(op, body)).unwrap();
+    wire::read_response(stream).unwrap()
+}
+
+#[test]
+fn session_counters_track_handshakes_frames_and_confirm_failures() {
+    const ECHOES: u64 = 5;
+    let mut config = base_config();
+    config.param_set = ParamSet::P2;
+    let handle = serve(config).unwrap();
+    let addr = handle.local_addr();
+    let m = handle.metrics();
+    let count = || {
+        [
+            m.handshakes_total(),
+            m.handshake_failures_total(),
+            m.frames_sealed_total(),
+            m.frames_opened_total(),
+            m.frames_rejected_total(),
+        ]
+    };
+    let hellos0 = m.requests_total(OpCode::SessionHello);
+    let before = count();
+    let delta = || -> Vec<u64> { count().iter().zip(&before).map(|(a, b)| a - b).collect() };
+
+    let mut sess = raw_handshake(addr, &[11u8; 32]);
+    assert_eq!(delta(), [1, sess.retries, 0, 0, 0]);
+
+    for i in 0..ECHOES {
+        let payload = format!("echo {i}");
+        let resp = round_trip(
+            &mut sess.stream,
+            OpCode::SessionFrame,
+            &sess.tx.seal(payload.as_bytes()),
+        );
+        assert_eq!(resp.status, Status::Ok);
+        assert_eq!(sess.rx.open_exact(&resp.body).unwrap(), payload.as_bytes());
+    }
+    assert_eq!(delta(), [1, sess.retries, ECHOES, ECHOES, 0]);
+
+    let mut tampered = sess.tx.seal(b"forged");
+    *tampered.last_mut().unwrap() ^= 0x01;
+    let resp = round_trip(&mut sess.stream, OpCode::SessionFrame, &tampered);
+    assert_eq!(resp.status, Status::Rejected);
+    assert_eq!(delta(), [1, sess.retries, ECHOES, ECHOES, 1]);
+
+    // A well-formed hello whose confirm tag is wrong is a handshake
+    // failure; a truncated one is a malformed request and is not.
+    let ctx = rlwe_engine::global_pool().get(ParamSet::P2).unwrap();
+    let mut rng = HashDrbg::new([12u8; 32]);
+    let (_, mut hello) = Session::initiate(&ctx, &sess.pk, &mut rng).unwrap();
+    *hello.last_mut().unwrap() ^= 0x01;
+    let resp = round_trip(&mut sess.stream, OpCode::SessionHello, &hello);
+    assert_eq!(resp.status, Status::Rejected);
+    assert_eq!(resp.body.first(), Some(&REJECT_RETRYABLE));
+    assert_eq!(delta(), [1, sess.retries + 1, ECHOES, ECHOES, 1]);
+
+    let resp = round_trip(&mut sess.stream, OpCode::SessionHello, &hello[..10]);
+    assert_eq!(resp.status, Status::Rejected);
+    assert_eq!(resp.body.first(), Some(&REJECT_PERMANENT));
+    assert_eq!(delta(), [1, sess.retries + 1, ECHOES, ECHOES, 1]);
+    // The malformed hello still shows as a served request.
+    assert!(m.requests_total(OpCode::SessionHello) - hellos0 >= sess.retries + 3);
+
+    // `/metrics` carries every layer of the stack the server ran on.
+    let body = String::from_utf8_lossy(&http_get(addr, "/metrics").unwrap().body).into_owned();
+    for needle in [
+        "rlwe_pool_hits_total",
+        "rlwe_pool_misses_total",
+        "rlwe_pool_build_ns",
+        "rlwe_ntt_dispatch_total",
+        "rlwe_sampler_draws_total",
+        "rlwe_kem_op_ns",
+        "rlwe_session_frames_sealed_total",
+        "rlwe_session_frames_opened_total",
+        "rlwe_session_frames_rejected_total",
+        r#"rlwe_session_handshakes_total{param_set="P2",role="responder"}"#,
+        "rlwe_session_handshake_failures_total",
+        r#"param_set="P1""#,
+        r#"reducer_kind="q7681""#,
+    ] {
+        assert!(body.contains(needle), "missing {needle} in:\n{body}");
+    }
+    // The server never initiates, and nothing runs batches.
+    assert!(!body.contains(r#"role="initiator""#), "{body}");
+    assert!(!body.contains("rlwe_batch_"), "{body}");
     handle.shutdown();
 }

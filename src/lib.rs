@@ -23,18 +23,16 @@
 //! * [`ecc`] — GF(2²³³)/K-233 ECIES baseline the paper compares against.
 //! * [`m4sim`] — Cortex-M4F cost model that regenerates the paper's
 //!   cycle-count tables.
-//! * [`engine`] — the throughput layer: context pooling, batched
-//!   multi-threaded scheme operations with deterministic per-item
-//!   seeding, authenticated session streams (one KEM handshake, then
-//!   symmetric frames), and live metrics. This is the serving-scale
-//!   counterpart to the paper's single-operation focus; see `DESIGN.md`
-//!   §Engine for the threading model and wire format.
+//! * [`engine`] — the serving layer: context pooling and authenticated
+//!   session streams (one KEM handshake, then symmetric frames). This
+//!   is the serving-scale counterpart to the paper's single-operation
+//!   focus; see `DESIGN.md` §2 for the pool and the frame format.
 //! * [`leakage`] — the constant-time regression harness: a dudect-style
 //!   Welch t-test over `decapsulate_cca` plus the deterministic
 //!   operation-count checks that gate CI (see `DESIGN.md` §5).
 //! * [`obs`] — unified observability: a metrics registry every layer
-//!   reports into (pool, NTT dispatch, batches, sessions, samplers,
-//!   KEM latencies), RAII span tracing of the pipeline phases, and
+//!   reports into (pool, NTT dispatch, sessions, samplers, KEM
+//!   latencies), RAII span tracing of the pipeline phases, and
 //!   Prometheus/JSON exporters — `rlwe_suite::obs::render()` is a
 //!   ready-to-serve metrics endpoint body (see `DESIGN.md` §8).
 //! * [`server`] — the TCP serving front-end: a std-only
@@ -102,18 +100,29 @@
 //! # Serving at scale
 //!
 //! ```
-//! use rlwe_suite::engine::Engine;
+//! use rlwe_suite::engine::global_pool;
+//! use rlwe_suite::scheme::drbg::HashDrbg;
 //! use rlwe_suite::scheme::ParamSet;
+//! use std::sync::Arc;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
-//! // Contexts are pooled: constructing a second engine for the same
-//! // parameter set reuses the NTT plans and sampler tables.
-//! let engine = Engine::new(ParamSet::P1)?;
-//! let (pk, _sk) = engine.generate_keypair(&[7u8; 32])?;
-//! let msgs: Vec<Vec<u8>> = (0..32u8).map(|i| vec![i; 32]).collect();
-//! // Deterministic under the master seed, parallel across workers.
-//! let cts = engine.encrypt_batch(&pk, &msgs, &[42u8; 32]);
-//! assert!(cts.iter().all(|c| c.is_ok()));
+//! // Contexts are pooled: a second lookup for the same parameter set
+//! // reuses the NTT plans and sampler tables instead of rebuilding them.
+//! let ctx = global_pool().get(ParamSet::P1)?;
+//! assert!(Arc::ptr_eq(&ctx, &global_pool().get(ParamSet::P1)?));
+//! let (pk, _sk) = ctx.generate_keypair(&mut HashDrbg::new([7u8; 32]))?;
+//! // One `&self` context serves every thread; each request draws its
+//! // coins from its own DRBG stream.
+//! std::thread::scope(|s| {
+//!     for i in 0..4u64 {
+//!         let (ctx, pk) = (&ctx, &pk);
+//!         s.spawn(move || {
+//!             let mut rng = HashDrbg::for_stream(&[42u8; 32], i);
+//!             let msg = vec![i as u8; ctx.params().message_bytes()];
+//!             ctx.encrypt(pk, &msg, &mut rng).unwrap()
+//!         });
+//!     }
+//! });
 //! # Ok(())
 //! # }
 //! ```
