@@ -1,13 +1,13 @@
 //! Loopback round-trip latency of the TCP serving front-end: what one
 //! request costs once it crosses a real socket, kernel scheduling, and
 //! the server's queue/worker pipeline — the overhead the in-process
-//! engine benches (`throughput.rs`) never see.
+//! session benches (`perf_snapshot`'s `session_*` arms) never see.
 //!
 //! Arms: `ping` isolates pure transport + dispatch cost (no lattice
-//! math), `sealed_exchange` is the authenticated-session hot path
-//! (HMAC seal/open on both ends), and `encap` is a full KEM operation
-//! behind the protocol. Under `cargo test --benches` the criterion shim
-//! runs each body once, smoke-testing the whole server stack in CI.
+//! math), and `sealed_exchange` is the authenticated-session hot path
+//! (ChaCha20-Poly1305 seal/open on both ends). Under
+//! `cargo test --benches` the criterion shim runs each body once,
+//! smoke-testing the whole server stack in CI.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rlwe_server::{serve, Client, ServerConfig};
@@ -37,10 +37,6 @@ fn bench_server_roundtrips(c: &mut Criterion) {
     let payload = [0xA5u8; 64];
     c.bench_function("server/sealed_exchange_roundtrip", |b| {
         b.iter(|| black_box(client.exchange(&payload).unwrap()))
-    });
-
-    c.bench_function("server/encap_roundtrip", |b| {
-        b.iter(|| black_box(client.encap().unwrap()))
     });
 
     drop(client);

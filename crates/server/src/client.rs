@@ -194,52 +194,6 @@ impl Client {
         };
         Ok(rx.open_exact(&resp)?)
     }
-
-    /// Server-side encryption of `msg` under the server's own key;
-    /// returns serialized ciphertext bytes.
-    ///
-    /// # Errors
-    ///
-    /// See [`Client::request`].
-    pub fn encrypt(&mut self, msg: &[u8]) -> Result<Vec<u8>, ServerError> {
-        self.request(OpCode::Encrypt, msg)
-    }
-
-    /// Server-side decryption of serialized ciphertext bytes.
-    ///
-    /// # Errors
-    ///
-    /// See [`Client::request`].
-    pub fn decrypt(&mut self, ct_bytes: &[u8]) -> Result<Vec<u8>, ServerError> {
-        self.request(OpCode::Decrypt, ct_bytes)
-    }
-
-    /// Server-side encapsulation to the server's own public key;
-    /// returns `(shared secret, serialized ciphertext)`.
-    ///
-    /// # Errors
-    ///
-    /// See [`Client::request`].
-    pub fn encap(&mut self) -> Result<([u8; 32], Vec<u8>), ServerError> {
-        let body = self.request(OpCode::Encap, &[])?;
-        if body.len() < 32 {
-            return Err(ServerError::Protocol(wire::ProtocolError::Truncated));
-        }
-        let mut ss = [0u8; 32];
-        ss.copy_from_slice(&body[..32]);
-        Ok((ss, body[32..].to_vec()))
-    }
-
-    /// Server-side decapsulation; returns the 32-byte shared secret.
-    ///
-    /// # Errors
-    ///
-    /// See [`Client::request`].
-    pub fn decap(&mut self, ct_bytes: &[u8]) -> Result<[u8; 32], ServerError> {
-        let body = self.request(OpCode::Decap, ct_bytes)?;
-        body.try_into()
-            .map_err(|_| ServerError::Protocol(wire::ProtocolError::Truncated))
-    }
 }
 
 impl std::fmt::Debug for Client {

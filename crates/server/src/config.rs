@@ -8,15 +8,14 @@
 //! |----------|---------|---------|
 //! | `RLWE_SERVER_ADDR` | listen address | `127.0.0.1:7681` |
 //! | `RLWE_WORKERS` | worker-thread count | `available_parallelism().min(8)` |
-//! | `RLWE_QUEUE_SHARDS` | submission-queue shards | `min(workers, 4)` |
-//! | `RLWE_QUEUE_CAPACITY` | queued connections **per shard** | `64` |
+//! | `RLWE_QUEUE_CAPACITY` | queued-connection capacity | `256` |
 //! | `RLWE_MAX_CONNS` | live-connection ceiling | `1024` |
 //! | `RLWE_PARAM_SET` | `P1` or `P2` | `P1` |
 //! | `RLWE_READ_TIMEOUT_MS` | per-read timeout mid-request | `5000` |
 //! | `RLWE_WRITE_TIMEOUT_MS` | per-write timeout | `5000` |
 //! | `RLWE_IDLE_TIMEOUT_MS` | eviction deadline between requests | `30000` |
 //! | `RLWE_DRAIN_TIMEOUT_MS` | per-connection grace during shutdown | `500` |
-//! | `RLWE_SERVER_SEED` | 64 hex chars; server key/DRBG seed | time-derived |
+//! | `RLWE_SERVER_SEED` | 64 hex chars; server keypair seed | time-derived |
 //!
 //! Invalid values produce a typed [`ConfigError`] naming the variable,
 //! the offending value and the constraint — never a panic and never a
@@ -32,9 +31,7 @@ pub mod env_vars {
     pub const ADDR: &str = "RLWE_SERVER_ADDR";
     /// Worker-thread count.
     pub const WORKERS: &str = "RLWE_WORKERS";
-    /// Submission-queue shard count.
-    pub const QUEUE_SHARDS: &str = "RLWE_QUEUE_SHARDS";
-    /// Per-shard queued-connection capacity.
+    /// Queued-connection capacity.
     pub const QUEUE_CAPACITY: &str = "RLWE_QUEUE_CAPACITY";
     /// Live-connection ceiling.
     pub const MAX_CONNS: &str = "RLWE_MAX_CONNS";
@@ -48,7 +45,7 @@ pub mod env_vars {
     pub const IDLE_TIMEOUT_MS: &str = "RLWE_IDLE_TIMEOUT_MS";
     /// Per-connection drain grace during graceful shutdown (ms).
     pub const DRAIN_TIMEOUT_MS: &str = "RLWE_DRAIN_TIMEOUT_MS";
-    /// 32-byte hex seed for the server keypair and per-request DRBG.
+    /// 32-byte hex seed for the server keypair.
     pub const SEED: &str = "RLWE_SERVER_SEED";
 }
 
@@ -81,10 +78,8 @@ pub struct ServerConfig {
     pub addr: SocketAddr,
     /// Worker threads serving connections (≥ 1).
     pub workers: usize,
-    /// Submission-queue shards (≥ 1; more shards, less contention).
-    pub queue_shards: usize,
-    /// Queued-connection capacity **per shard** (≥ 1). When every
-    /// shard is full the acceptor sheds with a `Busy` frame.
+    /// Queued-connection capacity (≥ 1). When the queue is full the
+    /// acceptor sheds with a `Busy` frame.
     pub queue_capacity: usize,
     /// Ceiling on simultaneously live (queued + serving) connections.
     pub max_conns: usize,
@@ -101,7 +96,7 @@ pub struct ServerConfig {
     /// requests already in the pipe are served, then the connection is
     /// closed once this long passes without a new frame.
     pub drain_timeout: Duration,
-    /// Seed for the server keypair and the per-request DRBG streams.
+    /// Seed for the server keypair.
     pub seed: [u8; 32],
 }
 
@@ -119,8 +114,7 @@ impl Default for ServerConfig {
         Self {
             addr: SocketAddr::from(([127, 0, 0, 1], 7681)),
             workers: default_workers(),
-            queue_shards: default_workers().min(4),
-            queue_capacity: 64,
+            queue_capacity: 256,
             max_conns: 1024,
             param_set: ParamSet::P1,
             read_timeout: Duration::from_millis(5000),
@@ -164,11 +158,6 @@ impl ServerConfig {
         }
         if let Some(v) = lookup(env_vars::WORKERS) {
             cfg.workers = parse_nonzero(env_vars::WORKERS, &v)?;
-            // Shards default tracks the worker count unless overridden.
-            cfg.queue_shards = cfg.workers.min(4);
-        }
-        if let Some(v) = lookup(env_vars::QUEUE_SHARDS) {
-            cfg.queue_shards = parse_nonzero(env_vars::QUEUE_SHARDS, &v)?;
         }
         if let Some(v) = lookup(env_vars::QUEUE_CAPACITY) {
             cfg.queue_capacity = parse_nonzero(env_vars::QUEUE_CAPACITY, &v)?;
@@ -215,9 +204,8 @@ impl ServerConfig {
     ///
     /// [`ConfigError`] for the first violated constraint.
     pub fn validate(&self) -> Result<(), ConfigError> {
-        let nonzero: [(&'static str, usize); 4] = [
+        let nonzero: [(&'static str, usize); 3] = [
             (env_vars::WORKERS, self.workers),
-            (env_vars::QUEUE_SHARDS, self.queue_shards),
             (env_vars::QUEUE_CAPACITY, self.queue_capacity),
             (env_vars::MAX_CONNS, self.max_conns),
         ];

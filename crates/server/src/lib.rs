@@ -8,27 +8,29 @@
 //!
 //! Five design commitments, each with its own module:
 //!
-//! * **Bounded everywhere** ([`queue`], [`wire`]) — submission queues
-//!   have hard per-shard capacities and frame bodies have a hard byte
-//!   bound, so a traffic spike or a hostile length prefix degrades into
-//!   typed `Busy`/`BadRequest` responses instead of unbounded memory.
+//! * **Bounded everywhere** ([`queue`], [`wire`]) — the submission
+//!   queue has a hard capacity and frame bodies have a hard byte bound,
+//!   so a traffic spike or a hostile length prefix degrades into typed
+//!   `Busy`/`BadRequest` responses instead of unbounded memory.
 //! * **Thread-per-core, not thread-per-connection** ([`server`]) — one
-//!   nonblocking acceptor feeds a fixed worker pool through sharded
-//!   MPMC queues (`Mutex<VecDeque>` + `Condvar`, with cross-shard
-//!   stealing); parallelism is `workers`, regardless of client count.
+//!   acceptor, blocked in `accept`, feeds a fixed worker pool through
+//!   one bounded MPMC queue (`Mutex<VecDeque>` + `Condvar`) that every
+//!   idle worker waits on; parallelism is `workers`, regardless of
+//!   client count.
 //! * **One protocol, two dialects** ([`wire`], [`http`]) — a
-//!   length-prefixed binary protocol multiplexes the engine's
-//!   authenticated session handshake/frames and raw
-//!   encap/decap/encrypt/decrypt ops; the same port answers plaintext
-//!   `GET /metrics` (serving [`rlwe_obs::render`] verbatim) and
-//!   `GET /healthz`, disambiguated by the first byte.
+//!   length-prefixed binary protocol with four ops (ping, public key,
+//!   and the engine's authenticated session handshake and frames); the
+//!   same port answers plaintext `GET /metrics` (serving
+//!   [`rlwe_obs::render`] verbatim) and `GET /healthz`, disambiguated
+//!   by the first byte. The server's secret key is used only to accept
+//!   session handshakes.
 //! * **Config from the environment** ([`config`]) — address, workers,
 //!   queue capacity, connection ceiling and every timeout come from
 //!   `RLWE_*` variables, validated into typed errors.
 //! * **Observable by default** ([`metrics`]) — accepted/rejected/active
-//!   connections, per-shard queue depths, shed counts and per-op
-//!   latency histograms flow into the process-wide `rlwe-obs` registry
-//!   the endpoint itself serves.
+//!   connections, the queue depth, shed counts and per-op latency
+//!   histograms flow into the process-wide `rlwe-obs` registry the
+//!   endpoint itself serves.
 //!
 //! # Example
 //!
@@ -70,7 +72,7 @@ pub use client::{http_get, Client, HttpResponse};
 pub use config::{ConfigError, ServerConfig};
 pub use error::ServerError;
 pub use metrics::{RejectReason, ServerMetrics};
-pub use queue::ShardedQueue;
+pub use queue::BoundedQueue;
 pub use server::{serve, ServerHandle};
 pub use wire::{OpCode, ProtocolError, Request, Response, Status};
 
@@ -83,7 +85,6 @@ mod tests {
         ServerConfig {
             addr: "127.0.0.1:0".parse().unwrap(),
             workers: 2,
-            queue_shards: 1,
             param_set,
             seed: [42u8; 32],
             ..ServerConfig::default()
@@ -134,10 +135,6 @@ mod tests {
         let mut client = Client::connect(handle.local_addr()).unwrap();
         client.handshake(&[31u8; 32], 8).unwrap();
         client.exchange(b"rendered").unwrap();
-        let (_, ct) = client.encap().unwrap();
-        client.decap(&ct).unwrap();
-        let ct = client.encrypt(&[7u8; 32]).unwrap();
-        client.decrypt(&ct).unwrap();
         let text = rlwe_obs::render();
         for name in [
             "rlwe_pool_hits_total",

@@ -7,9 +7,9 @@
 //!
 //! - `connections_accepted_total`, `connections_rejected_total{reason}`,
 //!   `connections_active` — front-door accounting.
-//! - `queue_depth{shard}` — live submission-queue depths.
-//! - `shed_total` — connections answered `Busy` because every shard
-//!   was at capacity (the bounded-memory guarantee made observable).
+//! - `queue_depth` — live submission-queue depth.
+//! - `shed_total` — connections answered `Busy` because the queue was
+//!   at capacity (the bounded-memory guarantee made observable).
 //! - `requests_total{op}` / `request_ns{op,param_set}` — per-operation
 //!   counts and latency histograms.
 //! - `idle_evictions_total` — connections closed for silence.
@@ -35,7 +35,7 @@ use rlwe_obs::{Counter, Gauge, Histogram};
 /// `reason` label of `rlwe_server_connections_rejected_total`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RejectReason {
-    /// Every submission-queue shard was at capacity.
+    /// The submission queue was at capacity.
     QueueFull,
     /// The live-connection ceiling was reached.
     MaxConns,
@@ -62,7 +62,7 @@ pub struct ServerMetrics {
     rejected_shutdown: Counter,
     active: Gauge,
     shed: Counter,
-    queue_depth: Vec<Gauge>,
+    queue_depth: Gauge,
     requests: [Counter; ALL_OPS.len()],
     request_ns: [Histogram; ALL_OPS.len()],
     idle_evictions: Counter,
@@ -79,9 +79,8 @@ pub struct ServerMetrics {
 
 impl ServerMetrics {
     /// Resolves every handle against the global registry. `param_set`
-    /// labels the latency histograms and the session series; `shards`
-    /// sizes the per-shard depth gauges.
-    pub fn new(param_set: &str, shards: usize) -> Self {
+    /// labels the latency histograms and the session series.
+    pub fn new(param_set: &str) -> Self {
         let reg = rlwe_obs::global();
         let set_label = [("param_set", param_set)];
         let rejected = |reason: RejectReason| {
@@ -107,19 +106,14 @@ impl ServerMetrics {
             ),
             shed: reg.counter(
                 "rlwe_server_shed_total",
-                "Connections answered Busy because every queue shard was full.",
+                "Connections answered Busy because the queue was full.",
                 &[],
             ),
-            queue_depth: (0..shards)
-                .map(|i| {
-                    let shard = i.to_string();
-                    reg.gauge(
-                        "rlwe_server_queue_depth",
-                        "Live submission-queue depth per shard.",
-                        &[("shard", shard.as_str())],
-                    )
-                })
-                .collect(),
+            queue_depth: reg.gauge(
+                "rlwe_server_queue_depth",
+                "Live submission-queue depth.",
+                &[],
+            ),
             requests: ALL_OPS.map(|op| {
                 reg.counter(
                     "rlwe_server_requests_total",
@@ -260,8 +254,8 @@ impl ServerMetrics {
         }
     }
 
-    /// Depth gauges, one per shard, for [`crate::queue::ShardedQueue`].
-    pub fn queue_depth_gauges(&self) -> Vec<Gauge> {
+    /// The depth gauge for [`crate::queue::BoundedQueue`].
+    pub fn queue_depth_gauge(&self) -> Gauge {
         self.queue_depth.clone()
     }
 
@@ -332,10 +326,6 @@ fn op_index(op: OpCode) -> usize {
         OpCode::PublicKey => 1,
         OpCode::SessionHello => 2,
         OpCode::SessionFrame => 3,
-        OpCode::Encrypt => 4,
-        OpCode::Decrypt => 5,
-        OpCode::Encap => 6,
-        OpCode::Decap => 7,
     }
 }
 

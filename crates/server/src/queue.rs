@@ -1,150 +1,91 @@
-//! Sharded, bounded MPMC submission queues with explicit backpressure.
+//! The bounded MPMC submission queue, with explicit backpressure.
 //!
-//! The acceptor pushes accepted connections; workers pop them. Each
-//! shard is a `Mutex<VecDeque>` + `Condvar` pair with a hard capacity:
-//! [`ShardedQueue::push`] never blocks and never grows a shard past its
-//! bound — when every shard is full the item comes straight back to the
+//! The acceptor pushes accepted connections; workers pop them. The
+//! queue is one `Mutex<VecDeque>` + `Condvar` pair with a hard capacity
+//! that every worker waits on, so any push wakes an idle worker.
+//! [`BoundedQueue::push`] never blocks and never grows the queue past
+//! its bound — when it is full the item comes straight back to the
 //! caller, which is the server's cue to answer `Busy` and close. That
 //! is the whole load-shedding contract: *memory stays bounded because
 //! excess work is refused at the front door, not queued.*
 //!
-//! Workers pop from a home shard (chosen by worker index) and steal
-//! from the other shards when home is empty, so a burst hashed onto one
-//! shard cannot idle the rest of the pool. [`ShardedQueue::close`]
-//! wakes everyone; pops then drain whatever is still queued and return
-//! `None` only when the queue is both closed and empty — the graceful-
-//! shutdown drain rides on exactly that property.
+//! [`BoundedQueue::close`] wakes everyone; pops then drain whatever is
+//! still queued and return `None` only when the queue is both closed
+//! and empty — the graceful-shutdown drain rides on exactly that
+//! property.
 
 use rlwe_obs::Gauge;
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
 use std::time::Duration;
 
-struct Shard<T> {
-    items: Mutex<VecDeque<T>>,
-    ready: Condvar,
-    depth: Gauge,
+struct State<T> {
+    items: VecDeque<T>,
+    closed: bool,
 }
 
 /// See the [module docs](self).
-pub struct ShardedQueue<T> {
-    shards: Vec<Shard<T>>,
+pub struct BoundedQueue<T> {
+    state: Mutex<State<T>>,
+    ready: Condvar,
     capacity: usize,
-    closed: Mutex<bool>,
+    depth: Gauge,
 }
 
-impl<T> ShardedQueue<T> {
-    /// A queue with `shards` shards of `capacity` items each.
-    /// `depth_gauges` (one per shard, same order) mirror live depths
-    /// into the metrics registry; pass unregistered gauges in tests.
+impl<T> BoundedQueue<T> {
+    /// A queue holding at most `capacity` items. `depth` mirrors the
+    /// live depth into the metrics registry; pass an unregistered gauge
+    /// in tests.
     ///
     /// # Panics
     ///
-    /// If `shards == 0`, `capacity == 0`, or the gauge count differs.
-    pub fn new(shards: usize, capacity: usize, depth_gauges: Vec<Gauge>) -> Self {
-        assert!(shards >= 1 && capacity >= 1);
-        assert_eq!(depth_gauges.len(), shards);
+    /// If `capacity == 0`.
+    pub fn new(capacity: usize, depth: Gauge) -> Self {
+        assert!(capacity >= 1);
         Self {
-            shards: depth_gauges
-                .into_iter()
-                .map(|depth| Shard {
-                    items: Mutex::new(VecDeque::with_capacity(capacity)),
-                    ready: Condvar::new(),
-                    depth,
-                })
-                .collect(),
+            state: Mutex::new(State {
+                items: VecDeque::with_capacity(capacity),
+                closed: false,
+            }),
+            ready: Condvar::new(),
             capacity,
-            closed: Mutex::new(false),
+            depth,
         }
     }
 
-    /// Number of shards.
-    pub fn shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Per-shard capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Tries to enqueue `item`, preferring shard `start` and falling
-    /// back to the others. Returns the shard index it landed on, or
-    /// `Err(item)` when **every** shard is at capacity (the caller
-    /// sheds) or the queue is closed.
-    pub fn push(&self, start: usize, item: T) -> Result<usize, T> {
-        if *lock_recover(&self.closed) {
+    /// Tries to enqueue `item`. Returns `Err(item)` when the queue is
+    /// at capacity (the caller sheds) or closed.
+    pub fn push(&self, item: T) -> Result<(), T> {
+        let mut state = lock_recover(&self.state);
+        if state.closed || state.items.len() >= self.capacity {
             return Err(item);
         }
-        let n = self.shards.len();
-        let probes = self.shards.iter().enumerate().cycle().skip(start % n);
-        for (idx, shard) in probes.take(n) {
-            let mut q = lock_recover(&shard.items);
-            if q.len() < self.capacity {
-                q.push_back(item);
-                shard.depth.set(q.len() as i64);
-                drop(q);
-                shard.ready.notify_one();
-                return Ok(idx);
-            }
-        }
-        Err(item)
+        state.items.push_back(item);
+        self.depth.set(state.items.len() as i64);
+        drop(state);
+        self.ready.notify_one();
+        Ok(())
     }
 
-    /// Pops one item, blocking up to `patience` on the home shard and
-    /// scanning the other shards (work stealing) when home is empty.
-    /// Returns `None` on timeout with nothing available, or when the
-    /// queue is closed **and** fully drained.
-    pub fn pop(&self, home: usize, patience: Duration) -> Option<T> {
-        let n = self.shards.len();
-        // Fast path: try every shard once, home first.
-        for probe in 0..n {
-            if let Some(item) = self.try_pop((home + probe) % n) {
-                return Some(item);
-            }
-        }
-        if self.is_closed() {
-            // One more scan closes the race between the drain scan
-            // above and the close flag flipping mid-scan.
-            return (0..n).find_map(|probe| self.try_pop((home + probe) % n));
-        }
-        // Block on the home shard's condvar; push notifies it.
-        let shard = self.shards.get(home % n)?;
-        let q = lock_recover(&shard.items);
-        let (mut q, _timeout) = shard
+    /// Pops one item, blocking up to `patience` while the queue is
+    /// empty and open. Returns `None` on timeout with nothing queued,
+    /// or when the queue is closed **and** drained.
+    pub fn pop(&self, patience: Duration) -> Option<T> {
+        let state = lock_recover(&self.state);
+        let (mut state, _timeout) = self
             .ready
-            .wait_timeout(q, patience)
+            .wait_timeout_while(state, patience, |s| s.items.is_empty() && !s.closed)
             .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if let Some(item) = q.pop_front() {
-            shard.depth.set(q.len() as i64);
-            return Some(item);
-        }
-        drop(q);
-        // Woken (by close, steal-worthy push elsewhere, or timeout):
-        // one last steal scan before reporting empty-handed.
-        (0..n).find_map(|probe| self.try_pop((home + probe) % n))
-    }
-
-    fn try_pop(&self, idx: usize) -> Option<T> {
-        let shard = self.shards.get(idx)?;
-        let mut q = lock_recover(&shard.items);
-        let item = q.pop_front();
+        let item = state.items.pop_front();
         if item.is_some() {
-            shard.depth.set(q.len() as i64);
+            self.depth.set(state.items.len() as i64);
         }
         item
     }
 
-    /// Current depth of one shard (0 for an out-of-range index).
-    pub fn depth(&self, idx: usize) -> usize {
-        self.shards
-            .get(idx)
-            .map_or(0, |shard| lock_recover(&shard.items).len())
-    }
-
-    /// Total queued items across shards.
+    /// Items currently queued.
     pub fn len(&self) -> usize {
-        (0..self.shards.len()).map(|i| self.depth(i)).sum()
+        lock_recover(&self.state).items.len()
     }
 
     /// Whether nothing is queued.
@@ -155,15 +96,13 @@ impl<T> ShardedQueue<T> {
     /// Refuses further pushes and wakes every blocked popper. Already-
     /// queued items remain poppable (drain semantics).
     pub fn close(&self) {
-        *lock_recover(&self.closed) = true;
-        for shard in &self.shards {
-            shard.ready.notify_all();
-        }
+        lock_recover(&self.state).closed = true;
+        self.ready.notify_all();
     }
 
-    /// Whether [`ShardedQueue::close`] has been called.
+    /// Whether [`BoundedQueue::close`] has been called.
     pub fn is_closed(&self) -> bool {
-        *lock_recover(&self.closed)
+        lock_recover(&self.state).closed
     }
 }
 
@@ -171,10 +110,10 @@ impl<T> ShardedQueue<T> {
 ///
 /// Queue state cannot be left torn by a peer that panicked inside a
 /// critical section: every section performs a single `VecDeque`
-/// push/pop (plus a gauge store), each of which completes or does not
-/// happen. Recovering keeps the accept/drain path alive even if a
-/// worker thread dies, instead of cascading the panic through every
-/// thread that touches the queue.
+/// push/pop or flag store (plus a gauge store), each of which completes
+/// or does not happen. Recovering keeps the accept/drain path alive
+/// even if a worker thread dies, instead of cascading the panic through
+/// every thread that touches the queue.
 fn lock_recover<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
@@ -182,59 +121,69 @@ fn lock_recover<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
 
-    fn gauges(n: usize) -> Vec<Gauge> {
-        (0..n).map(|_| Gauge::new()).collect()
-    }
-
     #[test]
-    fn push_overflows_to_a_free_shard_then_sheds() {
-        let q = ShardedQueue::new(2, 1, gauges(2));
-        assert_eq!(q.push(0, 'a'), Ok(0));
-        // Shard 0 full: lands on shard 1.
-        assert_eq!(q.push(0, 'b'), Ok(1));
-        // Everything full: the item comes back — the shed path.
-        assert_eq!(q.push(0, 'c'), Err('c'));
+    fn push_sheds_at_capacity() {
+        let q = BoundedQueue::new(2, Gauge::new());
+        assert_eq!(q.push('a'), Ok(()));
+        assert_eq!(q.push('b'), Ok(()));
+        // Full: the item comes back — the shed path.
+        assert_eq!(q.push('c'), Err('c'));
         assert_eq!(q.len(), 2);
+        assert_eq!(q.pop(Duration::from_millis(1)), Some('a'));
+        assert_eq!(q.push('c'), Ok(()));
     }
 
     #[test]
-    fn pop_steals_from_other_shards() {
-        let q = ShardedQueue::new(4, 8, gauges(4));
-        q.push(2, 7u32).unwrap();
-        // Home shard 0 is empty; the item sits on shard 2.
-        assert_eq!(q.pop(0, Duration::from_millis(10)), Some(7));
+    fn a_push_wakes_a_blocked_popper() {
+        let q = Arc::new(BoundedQueue::new(4, Gauge::new()));
+        let popper = {
+            let q = Arc::clone(&q);
+            std::thread::spawn(move || {
+                let t0 = std::time::Instant::now();
+                (q.pop(Duration::from_secs(30)), t0.elapsed())
+            })
+        };
+        // Let the popper block before the push arrives.
+        std::thread::sleep(Duration::from_millis(20));
+        q.push(7u32).unwrap();
+        let (item, waited) = popper.join().unwrap();
+        assert_eq!(item, Some(7));
+        assert!(
+            waited < Duration::from_secs(10),
+            "the push did not wake the popper: {waited:?}"
+        );
     }
 
     #[test]
     fn close_drains_then_returns_none() {
-        let q = ShardedQueue::new(1, 4, gauges(1));
-        q.push(0, 1).unwrap();
-        q.push(0, 2).unwrap();
+        let q = BoundedQueue::new(4, Gauge::new());
+        q.push(1).unwrap();
+        q.push(2).unwrap();
         q.close();
-        assert_eq!(q.push(0, 3), Err(3), "closed queue must refuse pushes");
-        assert_eq!(q.pop(0, Duration::from_millis(1)), Some(1));
-        assert_eq!(q.pop(0, Duration::from_millis(1)), Some(2));
-        assert_eq!(q.pop(0, Duration::from_millis(1)), None);
+        assert_eq!(q.push(3), Err(3), "closed queue must refuse pushes");
+        assert_eq!(q.pop(Duration::from_millis(1)), Some(1));
+        assert_eq!(q.pop(Duration::from_millis(1)), Some(2));
+        assert_eq!(q.pop(Duration::from_millis(1)), None);
     }
 
     #[test]
     fn depth_gauges_track_push_and_pop() {
-        let g = gauges(1);
-        let mirror = g[0].clone();
-        let q = ShardedQueue::new(1, 4, g);
-        q.push(0, 'x').unwrap();
-        assert_eq!(mirror.get(), 1);
-        q.pop(0, Duration::from_millis(1)).unwrap();
-        assert_eq!(mirror.get(), 0);
+        let g = Gauge::new();
+        let q = BoundedQueue::new(4, g.clone());
+        q.push('x').unwrap();
+        assert_eq!(g.get(), 1);
+        q.pop(Duration::from_millis(1)).unwrap();
+        assert_eq!(g.get(), 0);
     }
 
     #[test]
     fn concurrent_producers_and_consumers_conserve_items() {
-        let q = Arc::new(ShardedQueue::new(3, 16, gauges(3)));
+        let q = Arc::new(BoundedQueue::new(16, Gauge::new()));
         let produced = 4 * 50;
-        let consumed = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let consumed = Arc::new(AtomicUsize::new(0));
         std::thread::scope(|s| {
             for t in 0..4usize {
                 let q = Arc::clone(&q);
@@ -242,25 +191,20 @@ mod tests {
                     for i in 0..50usize {
                         let mut item = t * 1000 + i;
                         // Bounded queue: spin until accepted.
-                        loop {
-                            match q.push(i, item) {
-                                Ok(_) => break,
-                                Err(back) => {
-                                    item = back;
-                                    std::thread::yield_now();
-                                }
-                            }
+                        while let Err(back) = q.push(item) {
+                            item = back;
+                            std::thread::yield_now();
                         }
                     }
                 });
             }
-            for w in 0..3usize {
+            for _ in 0..3 {
                 let q = Arc::clone(&q);
                 let consumed = Arc::clone(&consumed);
                 s.spawn(move || loop {
-                    match q.pop(w, Duration::from_millis(20)) {
+                    match q.pop(Duration::from_millis(20)) {
                         Some(_) => {
-                            consumed.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                            consumed.fetch_add(1, Ordering::Relaxed);
                         }
                         None if q.is_closed() => break,
                         None => {}
@@ -269,15 +213,12 @@ mod tests {
             }
             // Give producers time to finish, then close to release
             // the consumers.
-            while consumed.load(std::sync::atomic::Ordering::Relaxed) < produced {
+            while consumed.load(Ordering::Relaxed) < produced {
                 std::thread::yield_now();
             }
             q.close();
         });
-        assert_eq!(
-            consumed.load(std::sync::atomic::Ordering::Relaxed),
-            produced
-        );
+        assert_eq!(consumed.load(Ordering::Relaxed), produced);
         assert!(q.is_empty());
     }
 }

@@ -4,20 +4,24 @@
 //! ## Thread architecture
 //!
 //! ```text
-//!                    ┌─────────────┐    sharded bounded queues
-//!   TCP clients ───▶ │  acceptor   │ ──▶ [shard 0] ──▶ worker 0, 4, …
-//!                    │ (blocking,  │ ──▶ [shard 1] ──▶ worker 1, 5, …
-//!                    │  sheds when │ ──▶ [shard 2] ──▶ worker 2, 6, …
-//!                    │  full/over) │ ──▶ [shard 3] ──▶ worker 3, 7, …
-//!                    └─────────────┘      (workers steal cross-shard)
+//!                    ┌─────────────┐   one bounded queue
+//!   TCP clients ───▶ │  acceptor   │ ──▶ [conn, conn, …] ──▶ worker 0
+//!                    │ (blocking,  │                     ──▶ worker 1
+//!                    │  sheds when │                     ──▶ …
+//!                    │  full/over) │                     ──▶ worker N-1
+//!                    └─────────────┘   (every idle worker waits on it)
 //! ```
 //!
 //! One acceptor thread accepts, enforces the connection ceiling, and
-//! pushes connections round-robin onto the bounded shards; when every
-//! shard is full it answers a typed [`Status::Busy`] frame and closes —
-//! load is shed at the front door and queue memory stays bounded. Each
-//! worker pops a connection and serves it to completion (request loop
-//! with idle eviction), so `workers` is the true parallelism bound.
+//! pushes connections onto the bounded queue; when the queue is full it
+//! answers a typed [`Status::Busy`] frame and closes — load is shed at
+//! the front door and queue memory stays bounded. Every idle worker
+//! waits on the same queue, so a push wakes whichever worker is free.
+//! Each worker pops a connection and serves it to completion (request
+//! loop with idle eviction), so `workers` is the true parallelism bound.
+//!
+//! The protocol has four ops (see [`crate::wire`]). The server's secret
+//! key is reached only through `Session::accept` on a `SessionHello`.
 //!
 //! ## Graceful shutdown
 //!
@@ -32,17 +36,17 @@
 use crate::config::ServerConfig;
 use crate::http;
 use crate::metrics::{RejectReason, ServerMetrics};
-use crate::queue::ShardedQueue;
+use crate::queue::BoundedQueue;
 use crate::wire::{
     self, OpCode, ReadOutcome, Request, Status, MAGIC, REJECT_PERMANENT, REJECT_RETRYABLE,
 };
 use crate::ServerError;
 use rlwe_core::drbg::HashDrbg;
-use rlwe_core::{Ciphertext, PublicKey, RlweContext, SecretKey};
+use rlwe_core::{RlweContext, SecretKey};
 use rlwe_engine::{Session, SessionError, StreamReceiver, StreamSender};
 use std::io::Read;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -65,16 +69,13 @@ struct Conn {
 struct Shared {
     config: ServerConfig,
     ctx: Arc<RlweContext>,
-    pk: PublicKey,
     pk_bytes: Vec<u8>,
     sk: SecretKey,
-    queue: ShardedQueue<Conn>,
+    queue: BoundedQueue<Conn>,
     metrics: ServerMetrics,
     shutdown: AtomicBool,
     /// Live (queued + serving) connections, for `max_conns`.
     live: AtomicI64,
-    /// Per-request DRBG stream index (public counter, never secret).
-    req_seq: AtomicU64,
 }
 
 impl Shared {
@@ -112,25 +113,19 @@ pub fn serve(config: ServerConfig) -> Result<ServerHandle, ServerError> {
     let (pk, sk) = ctx.generate_keypair(&mut HashDrbg::new(config.seed))?;
     // ct-allow(pk is the public half of the keypair; encoding fails only on a parameter mismatch)
     let pk_bytes = pk.to_bytes()?;
-    let metrics = ServerMetrics::new(&ctx.params().obs_label(), config.queue_shards);
-    let queue = ShardedQueue::new(
-        config.queue_shards,
-        config.queue_capacity,
-        metrics.queue_depth_gauges(),
-    );
+    let metrics = ServerMetrics::new(&ctx.params().obs_label());
+    let queue = BoundedQueue::new(config.queue_capacity, metrics.queue_depth_gauge());
     let listener = TcpListener::bind(config.addr)?;
     let local_addr = listener.local_addr()?;
 
     let shared = Arc::new(Shared {
         ctx,
-        pk,
         pk_bytes,
         sk,
         queue,
         metrics,
         shutdown: AtomicBool::new(false),
         live: AtomicI64::new(0),
-        req_seq: AtomicU64::new(0),
         config,
     });
 
@@ -149,7 +144,7 @@ pub fn serve(config: ServerConfig) -> Result<ServerHandle, ServerError> {
             std::thread::Builder::new()
                 .name(format!("rlwe-worker-{i}"))
                 // ct-allow(workers branch on public queue and request state; sk is used only inside Session::accept)
-                .spawn(move || worker_loop(&shared, i))
+                .spawn(move || worker_loop(&shared))
                 .map_err(ServerError::Io)
         })
         .collect::<Result<Vec<_>, _>>()?;
@@ -174,9 +169,9 @@ impl ServerHandle {
         &self.shared.metrics
     }
 
-    /// Current depth of one submission-queue shard.
-    pub fn queue_depth(&self, shard: usize) -> usize {
-        self.shared.queue.depth(shard)
+    /// Connections currently waiting in the submission queue.
+    pub fn queue_depth(&self) -> usize {
+        self.shared.queue.len()
     }
 
     /// Graceful shutdown: stop accepting, drain queued and in-flight
@@ -214,7 +209,6 @@ impl std::fmt::Debug for ServerHandle {
         f.debug_struct("ServerHandle")
             .field("local_addr", &self.local_addr)
             .field("workers", &self.workers.len())
-            .field("shards", &self.shared.queue.shards())
             .finish()
     }
 }
@@ -237,14 +231,13 @@ fn wake_addr(addr: SocketAddr) -> SocketAddr {
 /// accepts nothing, and connections still in the backlog close with the
 /// listener.
 fn acceptor_loop(shared: &Shared, listener: TcpListener) {
-    let mut next_shard = 0usize;
     loop {
         match listener.accept() {
             Ok(_) if shared.shutdown.load(Ordering::SeqCst) => return,
             Ok((stream, _peer)) => {
                 let _ = stream.set_write_timeout(Some(shared.config.write_timeout));
                 let _ = stream.set_nodelay(true);
-                handle_accept(shared, stream, &mut next_shard);
+                handle_accept(shared, stream);
             }
             Err(_) => {
                 // Transient accept failure (EMFILE, aborted handshake…):
@@ -258,7 +251,7 @@ fn acceptor_loop(shared: &Shared, listener: TcpListener) {
     }
 }
 
-fn handle_accept(shared: &Shared, mut stream: TcpStream, next_shard: &mut usize) {
+fn handle_accept(shared: &Shared, mut stream: TcpStream) {
     if shared.shutdown.load(Ordering::Relaxed) {
         shared.metrics.on_reject(RejectReason::Shutdown);
         let _ = wire::write_frame(
@@ -278,11 +271,9 @@ fn handle_accept(shared: &Shared, mut stream: TcpStream, next_shard: &mut usize)
         stream,
         released: false,
     };
-    let shard = *next_shard;
-    *next_shard = (*next_shard + 1) % shared.queue.shards();
-    if let Err(mut conn) = shared.queue.push(shard, conn) {
-        // Every shard full (or the queue just closed): shed with a
-        // typed Busy frame and close — never queue unboundedly.
+    if let Err(mut conn) = shared.queue.push(conn) {
+        // Queue full (or just closed): shed with a typed Busy frame
+        // and close — never queue unboundedly.
         shared.metrics.on_reject(RejectReason::QueueFull);
         let _ = wire::write_frame(&mut conn.stream, &wire::encode_response(Status::Busy, &[]));
         shared.release(&mut conn);
@@ -291,10 +282,9 @@ fn handle_accept(shared: &Shared, mut stream: TcpStream, next_shard: &mut usize)
 
 // ---------------------------------------------------------------- workers
 
-fn worker_loop(shared: &Shared, worker_idx: usize) {
-    let home = worker_idx % shared.queue.shards();
+fn worker_loop(shared: &Shared) {
     loop {
-        match shared.queue.pop(home, POLL * 2) {
+        match shared.queue.pop(POLL * 2) {
             Some(conn) => {
                 shared.metrics.on_dispatch();
                 serve_conn(shared, conn);
@@ -465,56 +455,6 @@ fn dispatch_request(shared: &Shared, session: &mut Option<ConnSession>, req: Req
                 }
             },
         },
-        OpCode::Encrypt => {
-            let mut rng = shared.op_rng();
-            // ct-allow(op status is the wire-visible response code, public by protocol)
-            match ctx
-                .encrypt(&shared.pk, &req.body, &mut rng)
-                .and_then(|ct| ct.to_bytes())
-            {
-                Ok(bytes) => ok(bytes),
-                Err(e) => rejected(REJECT_PERMANENT, e),
-            }
-        }
-        OpCode::Decrypt => {
-            match Ciphertext::from_bytes(&req.body).and_then(|ct| ctx.decrypt(&shared.sk, &ct)) {
-                Ok(msg) => ok(msg),
-                Err(e) => rejected(REJECT_PERMANENT, e),
-            }
-        }
-        OpCode::Encap => {
-            let mut rng = shared.op_rng();
-            // ct-allow(op status is the wire-visible response code, public by protocol)
-            match ctx.encapsulate_wire(
-                &shared.pk,
-                &mut rng,
-                &mut ctx.empty_ciphertext(),
-                &mut ctx.new_scratch(),
-            ) {
-                Ok((ct_bytes, ss)) => {
-                    let mut body = ss.as_bytes().to_vec();
-                    body.extend_from_slice(&ct_bytes);
-                    ok(body)
-                }
-                Err(e) => rejected(REJECT_PERMANENT, e),
-            }
-        }
-        OpCode::Decap => {
-            match ctx.decapsulate_wire_with_scratch(&shared.sk, &req.body, &mut ctx.new_scratch()) {
-                Ok(ss) => ok(ss.as_bytes().to_vec()),
-                Err(e) => rejected(REJECT_PERMANENT, e),
-            }
-        }
-    }
-}
-
-impl Shared {
-    /// Fresh randomness for one server-side operation: an independent
-    /// DRBG stream per request off the configured seed. The stream
-    /// index is public (a counter), the seed is not.
-    fn op_rng(&self) -> HashDrbg {
-        let idx = self.req_seq.fetch_add(1, Ordering::Relaxed);
-        HashDrbg::for_stream(&self.config.seed, idx)
     }
 }
 

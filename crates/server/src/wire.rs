@@ -22,10 +22,10 @@
 //! | [`OpCode::PublicKey`] | empty | serialized server public key |
 //! | [`OpCode::SessionHello`] | `Session::initiate` hello | 16-byte session id |
 //! | [`OpCode::SessionFrame`] | sealed client→server frame | sealed server→client echo |
-//! | [`OpCode::Encrypt`] | plaintext message | serialized ciphertext |
-//! | [`OpCode::Decrypt`] | serialized ciphertext | plaintext message |
-//! | [`OpCode::Encap`] | empty | 32-byte shared secret ‖ ciphertext |
-//! | [`OpCode::Decap`] | serialized ciphertext | 32-byte shared secret |
+//!
+//! Bytes `0x05..=0x08` once named raw encrypt/decrypt/encap/decap ops
+//! on the server's static key; they are retired and parse as unknown
+//! opcodes like any other unassigned byte.
 //!
 //! A [`Status::Rejected`] response body is `code:u8 ‖ utf-8 detail`;
 //! code [`REJECT_RETRYABLE`] marks the ~1% KEM handshake failure the
@@ -69,26 +69,14 @@ pub enum OpCode {
     /// Deliver one sealed client→server frame on the bound session;
     /// the payload is echoed back sealed in the server→client direction.
     SessionFrame = 0x04,
-    /// Encrypt the body under the server's public key.
-    Encrypt = 0x05,
-    /// Decrypt a serialized ciphertext with the server's secret key.
-    Decrypt = 0x06,
-    /// KEM-encapsulate to the server's own public key.
-    Encap = 0x07,
-    /// KEM-decapsulate a serialized ciphertext.
-    Decap = 0x08,
 }
 
 /// Every opcode, in wire order (for metrics registration and tests).
-pub const ALL_OPS: [OpCode; 8] = [
+pub const ALL_OPS: [OpCode; 4] = [
     OpCode::Ping,
     OpCode::PublicKey,
     OpCode::SessionHello,
     OpCode::SessionFrame,
-    OpCode::Encrypt,
-    OpCode::Decrypt,
-    OpCode::Encap,
-    OpCode::Decap,
 ];
 
 impl OpCode {
@@ -104,10 +92,6 @@ impl OpCode {
             OpCode::PublicKey => "public_key",
             OpCode::SessionHello => "session_hello",
             OpCode::SessionFrame => "session_frame",
-            OpCode::Encrypt => "encrypt",
-            OpCode::Decrypt => "decrypt",
-            OpCode::Encap => "encap",
-            OpCode::Decap => "decap",
         }
     }
 }
@@ -417,9 +401,9 @@ mod tests {
 
     #[test]
     fn request_round_trips_through_bytes() {
-        let wire = encode_request(OpCode::Encrypt, b"payload");
+        let wire = encode_request(OpCode::SessionFrame, b"payload");
         let (req, used) = decode_request(&wire).unwrap();
-        assert_eq!(req.op, OpCode::Encrypt);
+        assert_eq!(req.op, OpCode::SessionFrame);
         assert_eq!(req.body, b"payload");
         assert_eq!(used, wire.len());
     }
@@ -456,5 +440,9 @@ mod tests {
         }
         assert_eq!(OpCode::from_u8(0x00), None);
         assert_eq!(OpCode::from_u8(0xFF), None);
+        // The retired raw-op bytes are unknown opcodes.
+        for b in 0x05..=0x08 {
+            assert_eq!(OpCode::from_u8(b), None, "0x{b:02X}");
+        }
     }
 }

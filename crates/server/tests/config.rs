@@ -28,8 +28,7 @@ fn empty_environment_yields_the_documented_defaults() {
     let cfg = ServerConfig::from_lookup(|_| None).unwrap();
     assert_eq!(cfg.addr, "127.0.0.1:7681".parse().unwrap());
     assert_eq!(cfg.workers, rlwe_server::config::default_workers());
-    assert_eq!(cfg.queue_shards, cfg.workers.min(4));
-    assert_eq!(cfg.queue_capacity, 64);
+    assert_eq!(cfg.queue_capacity, 256);
     assert_eq!(cfg.max_conns, 1024);
     assert_eq!(cfg.param_set, ParamSet::P1);
     assert_eq!(cfg.read_timeout, Duration::from_millis(5000));
@@ -44,7 +43,6 @@ fn every_variable_is_read() {
     let cfg = ServerConfig::from_lookup(env(&[
         (env_vars::ADDR, "0.0.0.0:9000"),
         (env_vars::WORKERS, "3"),
-        (env_vars::QUEUE_SHARDS, "2"),
         (env_vars::QUEUE_CAPACITY, "5"),
         (env_vars::MAX_CONNS, "17"),
         (env_vars::PARAM_SET, "P2"),
@@ -57,7 +55,6 @@ fn every_variable_is_read() {
     .unwrap();
     assert_eq!(cfg.addr, "0.0.0.0:9000".parse().unwrap());
     assert_eq!(cfg.workers, 3);
-    assert_eq!(cfg.queue_shards, 2);
     assert_eq!(cfg.queue_capacity, 5);
     assert_eq!(cfg.max_conns, 17);
     assert_eq!(cfg.param_set, ParamSet::P2);
@@ -66,20 +63,6 @@ fn every_variable_is_read() {
     assert_eq!(cfg.idle_timeout, Duration::from_millis(333));
     assert_eq!(cfg.drain_timeout, Duration::from_millis(444));
     assert_eq!(&cfg.seed[..4], &[0x00, 0x11, 0x22, 0x33]);
-}
-
-#[test]
-fn worker_count_drives_the_shard_default_unless_overridden() {
-    let cfg = ServerConfig::from_lookup(env(&[(env_vars::WORKERS, "2")])).unwrap();
-    assert_eq!(cfg.queue_shards, 2);
-    let cfg = ServerConfig::from_lookup(env(&[(env_vars::WORKERS, "16")])).unwrap();
-    assert_eq!(cfg.queue_shards, 4);
-    let cfg = ServerConfig::from_lookup(env(&[
-        (env_vars::WORKERS, "16"),
-        (env_vars::QUEUE_SHARDS, "8"),
-    ]))
-    .unwrap();
-    assert_eq!(cfg.queue_shards, 8);
 }
 
 #[test]
@@ -96,11 +79,10 @@ fn param_set_accepts_both_cases() {
 
 #[test]
 fn invalid_values_are_typed_errors_naming_the_variable() {
-    let cases: [(&'static str, &str); 10] = [
+    let cases: [(&'static str, &str); 9] = [
         (env_vars::ADDR, "not-an-address"),
         (env_vars::WORKERS, "0"),
         (env_vars::WORKERS, "three"),
-        (env_vars::QUEUE_SHARDS, "0"),
         (env_vars::QUEUE_CAPACITY, "0"),
         (env_vars::MAX_CONNS, "-5"),
         (env_vars::PARAM_SET, "P3"),

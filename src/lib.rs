@@ -36,10 +36,11 @@
 //!   Prometheus/JSON exporters — `rlwe_suite::obs::render()` is a
 //!   ready-to-serve metrics endpoint body (see `DESIGN.md` §8).
 //! * [`server`] — the TCP serving front-end: a std-only
-//!   thread-per-core acceptor/worker architecture over sharded bounded
-//!   queues with typed `Busy` backpressure, a length-prefixed protocol
-//!   multiplexing the engine's authenticated sessions and raw KEM/PKE
-//!   ops, env-driven [`server::ServerConfig`], graceful drain-and-join
+//!   thread-per-core acceptor/worker architecture over one bounded
+//!   queue with typed `Busy` backpressure, a length-prefixed protocol
+//!   carrying the engine's authenticated sessions (ping, public key,
+//!   session hello, session frame), env-driven
+//!   [`server::ServerConfig`], graceful drain-and-join
 //!   shutdown, and a same-port `GET /metrics` endpoint serving
 //!   [`obs::render`] verbatim (see `DESIGN.md` §9 and
 //!   `examples/serve.rs`).
