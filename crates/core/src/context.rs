@@ -23,6 +23,7 @@ use rlwe_sampler::ct::CtCdtSampler;
 use rlwe_sampler::random::{BitSource, BufferedBitSource, WordSource};
 use rlwe_sampler::{KnuthYao, ProbabilityMatrix};
 use rlwe_zq::{Reducer, ReducerKind};
+use std::time::Instant;
 
 use crate::encode::{decode_message_into, encode_message_add_assign};
 use crate::keys::{Ciphertext, PublicKey, SecretKey};
@@ -80,27 +81,24 @@ impl NttBackend {
     }
 }
 
-/// Which sampler rung draws the error polynomials. All rungs sample the
-/// *same* distribution exactly; they trade table memory and speed against
-/// leakage (and consume random bits differently, so ciphertexts differ
-/// across kinds for the same seed).
+/// Which sampler rung draws the error polynomials. Both rungs sample the
+/// *same* distribution exactly; they trade speed against leakage (and
+/// consume random bits differently, so ciphertexts differ across kinds
+/// for the same seed).
 ///
-/// The Knuth-Yao rungs ([`SamplerKind::Basic`], [`SamplerKind::Lut1`],
-/// [`SamplerKind::Lut`]) are **variable-time**: the DDG walk length — and
-/// therefore the number of random bits consumed — depends on the sampled
-/// value. [`SamplerKind::CtCdt`] is the constant-operation-count CDT
-/// sampler ([`CtCdtSampler`]): exactly 129 bit draws and one full-table
-/// scan per sample, regardless of the value. Choose it for any context
-/// that processes attacker-supplied inputs (CCA decapsulation servers);
-/// the variable-time rungs stay available for throughput work on trusted
-/// inputs (see DESIGN.md §5).
+/// [`SamplerKind::Lut`] is **variable-time**: the Knuth-Yao DDG walk
+/// length — and therefore the number of random bits consumed — depends
+/// on the sampled value. [`SamplerKind::CtCdt`] is the
+/// constant-operation-count CDT sampler ([`CtCdtSampler`]): exactly 129
+/// bit draws and one full-table scan per sample, regardless of the
+/// value. Choose it for any context that processes attacker-supplied
+/// inputs (CCA decapsulation servers); the variable-time rung stays
+/// available for throughput work on trusted inputs (see DESIGN.md §5).
+/// The slower Knuth-Yao variants (`sample_basic`, `sample_lut1`) live on
+/// in `rlwe-sampler` for the cost model and the distribution tests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 #[non_exhaustive]
 pub enum SamplerKind {
-    /// The bit-by-bit DDG random walk (`sample_basic`).
-    Basic,
-    /// One 8-bit lookup, walk on miss (`sample_lut1`).
-    Lut1,
     /// Two-level lookup — the paper's fastest variant (`sample_lut`).
     #[default]
     Lut,
@@ -113,8 +111,6 @@ impl SamplerKind {
     /// Stable lowercase identifier for the `sampler_kind` metric label.
     pub fn label(self) -> &'static str {
         match self {
-            SamplerKind::Basic => "basic",
-            SamplerKind::Lut1 => "lut1",
             SamplerKind::Lut => "lut",
             SamplerKind::CtCdt => "ct_cdt",
         }
@@ -124,8 +120,8 @@ impl SamplerKind {
 /// Which sampler kernel a rung's polynomial fills run on, as a stable
 /// metric-label string. Only the constant-time CDT rung has a vector
 /// backend (the 8-lane AVX2 table scan in `rlwe_sampler::avx2`); the
-/// Knuth-Yao rungs batch their LUT probes lane-wise but execute scalar
-/// code, so they report `scalar`.
+/// Knuth-Yao rung batches its LUT probes lane-wise but executes scalar
+/// code, so it reports `scalar`.
 fn sampler_backend_label(sampler: SamplerKind) -> &'static str {
     match sampler {
         SamplerKind::CtCdt if rlwe_sampler::avx2::available() => "avx2",
@@ -133,12 +129,42 @@ fn sampler_backend_label(sampler: SamplerKind) -> &'static str {
     }
 }
 
+/// The encryption pipeline's phases, in order: each is one
+/// `rlwe_phase_ns{op="encrypt", phase, param_set}` series.
+pub const ENCRYPT_PHASES: [&str; 4] = ["sample", "encode", "ntt", "pointwise"];
+
+/// The decryption pipeline's phases, in order: each is one
+/// `rlwe_phase_ns{op="decrypt", phase, param_set}` series.
+pub const DECRYPT_PHASES: [&str; 3] = ["pointwise", "ntt", "decode"];
+
+/// The `rlwe_phase_ns{op, phase, param_set}` histogram in the global
+/// registry: wall-clock nanoseconds of one pipeline phase (`op` is
+/// `"encrypt"` or `"decrypt"`, `phase` one of [`ENCRYPT_PHASES`] /
+/// [`DECRYPT_PHASES`], `param_set` a [`Params::obs_label`]). Contexts
+/// resolve these once at construction; calling this again returns a
+/// handle to the same cells.
+pub fn phase_histogram(op: &str, phase: &str, param_set: &str) -> rlwe_obs::Histogram {
+    rlwe_obs::global().histogram(
+        "rlwe_phase_ns",
+        "Encrypt/decrypt pipeline phase wall-clock latency.",
+        &[("op", op), ("phase", phase), ("param_set", param_set)],
+    )
+}
+
+/// Records `marks[i + 1] - marks[i]` into `phases[i]`: one histogram
+/// record per phase of a timed chain of clock reads.
+fn record_phases(phases: &[rlwe_obs::Histogram], marks: &[Instant]) {
+    for (h, (start, end)) in phases.iter().zip(marks.iter().zip(marks.iter().skip(1))) {
+        h.record(end.saturating_duration_since(*start));
+    }
+}
+
 /// Observability handles a context resolves **once at construction**
-/// and records through on the hot paths (one relaxed atomic op per
-/// event, no registry lookups). Every label is public data — parameter
-/// set, reducer kind, backend, sampler rung — never key or message
-/// material, and recording never branches on secret values, so the
-/// `crates/leakage` invariance gates hold with tracing enabled.
+/// and records through on the hot paths (relaxed atomic ops, no
+/// registry lookups). Every label is public data — parameter set,
+/// reducer kind, backend, sampler rung, phase name — never key or
+/// message material, and recording never branches on secret values
+/// (see the `crates/leakage` invariance gates).
 #[derive(Debug, Clone)]
 pub(crate) struct ObsHooks {
     /// `rlwe_sampler_draws_total{param_set, sampler_kind}`.
@@ -155,20 +181,11 @@ pub(crate) struct ObsHooks {
     pub encap_cca_ns: rlwe_obs::Histogram,
     /// As above, `op="decap_cca"`.
     pub decap_cca_ns: rlwe_obs::Histogram,
-    /// Pipeline-phase spans: encrypt sample → encode → NTT → pointwise.
-    pub sp_enc_sample: rlwe_obs::SpanId,
-    /// Encrypt message-encode phase.
-    pub sp_enc_encode: rlwe_obs::SpanId,
-    /// Encrypt triple forward NTT phase.
-    pub sp_enc_ntt: rlwe_obs::SpanId,
-    /// Encrypt pointwise multiply-add phase.
-    pub sp_enc_pointwise: rlwe_obs::SpanId,
-    /// Decrypt pointwise multiply-add phase.
-    pub sp_dec_pointwise: rlwe_obs::SpanId,
-    /// Decrypt inverse NTT phase.
-    pub sp_dec_ntt: rlwe_obs::SpanId,
-    /// Decrypt threshold-decode phase.
-    pub sp_dec_decode: rlwe_obs::SpanId,
+    /// `rlwe_phase_ns{op="encrypt", phase, param_set}`, one per
+    /// [`ENCRYPT_PHASES`] entry, in order.
+    pub encrypt_phases: [rlwe_obs::Histogram; 4],
+    /// As above, `op="decrypt"`, one per [`DECRYPT_PHASES`] entry.
+    pub decrypt_phases: [rlwe_obs::Histogram; 3],
 }
 
 impl ObsHooks {
@@ -211,13 +228,8 @@ impl ObsHooks {
             decap_ns: kem("decap"),
             encap_cca_ns: kem("encap_cca"),
             decap_cca_ns: kem("decap_cca"),
-            sp_enc_sample: rlwe_obs::SpanId::register("encrypt.sample"),
-            sp_enc_encode: rlwe_obs::SpanId::register("encrypt.encode"),
-            sp_enc_ntt: rlwe_obs::SpanId::register("encrypt.ntt"),
-            sp_enc_pointwise: rlwe_obs::SpanId::register("encrypt.pointwise"),
-            sp_dec_pointwise: rlwe_obs::SpanId::register("decrypt.pointwise"),
-            sp_dec_ntt: rlwe_obs::SpanId::register("decrypt.ntt"),
-            sp_dec_decode: rlwe_obs::SpanId::register("decrypt.decode"),
+            encrypt_phases: ENCRYPT_PHASES.map(|phase| phase_histogram("encrypt", phase, &set)),
+            decrypt_phases: DECRYPT_PHASES.map(|phase| phase_histogram("decrypt", phase, &set)),
         }
     }
 }
@@ -300,7 +312,7 @@ impl RlweContextBuilder {
         // one-time table cost is amortized by the engine's context pool.
         let ct = match self.sampler {
             SamplerKind::CtCdt => Some(CtCdtSampler::new(&pmat)),
-            _ => None,
+            SamplerKind::Lut => None,
         };
         let ky = KnuthYao::new(pmat)?;
         // Observability handles resolve here, once: hot paths below
@@ -513,28 +525,12 @@ impl RlweContext {
         // trace — which the leakage gates pin exactly — cannot shift.
         self.obs.sampler_draws.add(out.len() as u64);
         self.obs.sampler_dispatch.add(1);
-        match self.sampler {
-            SamplerKind::Lut => self.ky.sample_poly_reduced_into(r, bits, out),
-            SamplerKind::Basic => {
-                for c in out.iter_mut() {
-                    *c = self.ky.sample_basic(bits).to_zq_with(r);
-                }
-            }
-            SamplerKind::Lut1 => {
-                for c in out.iter_mut() {
-                    *c = self.ky.sample_lut1(bits).to_zq_with(r);
-                }
-            }
-            SamplerKind::CtCdt => {
-                let ct = self
-                    .ct
-                    .as_ref()
-                    .expect("CtCdt contexts always carry the CT sampler");
-                // Block fill: 8-at-a-time through the lane-parallel table
-                // scan (AVX2 when the host has it, the bit-identical
-                // scalar kernel otherwise), per-sample on the tail.
-                ct.sample_poly_into(r, bits, out);
-            }
+        match &self.ct {
+            // Block fill: 8-at-a-time through the lane-parallel table
+            // scan (AVX2 when the host has it, the bit-identical scalar
+            // kernel otherwise), per-sample on the tail.
+            Some(ct) => ct.sample_poly_into(r, bits, out),
+            None => self.ky.sample_poly_reduced_into(r, bits, out),
         }
     }
 
@@ -785,24 +781,20 @@ impl RlweContext {
         let mut e1 = scratch.take();
         let mut e2 = scratch.take();
         let mut e3m = scratch.take();
-        {
-            let _span = self.obs.sp_enc_sample.enter();
-            self.sample_error_into(plan.reducer(), &mut bits, &mut e1);
-            self.sample_error_into(plan.reducer(), &mut bits, &mut e2);
-            self.sample_error_into(plan.reducer(), &mut bits, &mut e3m);
+        // One clock read per phase boundary; the records follow the last
+        // read, so none of them lands inside a timed phase.
+        let t0 = Instant::now();
+        self.sample_error_into(plan.reducer(), &mut bits, &mut e1);
+        self.sample_error_into(plan.reducer(), &mut bits, &mut e2);
+        self.sample_error_into(plan.reducer(), &mut bits, &mut e3m);
+        let t1 = Instant::now();
+        // e₃ + m̄ (time domain) becomes the third forward-NTT operand.
+        encode_message_add_assign(msg, &mut e3m, q);
+        let t2 = Instant::now();
+        for e in [&mut e1, &mut e2, &mut e3m] {
+            plan.forward_avx2(e);
         }
-        {
-            // e₃ + m̄ (time domain) becomes the third forward-NTT operand.
-            let _span = self.obs.sp_enc_encode.enter();
-            encode_message_add_assign(msg, &mut e3m, q);
-        }
-        {
-            let _span = self.obs.sp_enc_ntt.enter();
-            for e in [&mut e1, &mut e2, &mut e3m] {
-                plan.forward_avx2(e);
-            }
-        }
-        let _span = self.obs.sp_enc_pointwise.enter();
+        let t3 = Instant::now();
         // c̃₁ = ã∘ẽ₁ + ẽ₂ ; c̃₂ = p̃∘ẽ₁ + NTT(e₃ + m̄).
         ct.params = pk.params;
         ct.c1_hat.reset(n, *modulus);
@@ -821,6 +813,7 @@ impl RlweContext {
             &e1,
             plan.reducer(),
         )?;
+        record_phases(&self.obs.encrypt_phases, &[t0, t1, t2, t3, Instant::now()]);
         scratch.put(e1);
         scratch.put(e2);
         scratch.put(e3m);
@@ -869,26 +862,21 @@ impl RlweContext {
         self.check_scratch(scratch)?;
         with_dispatch!(self, |p| {
             let mut m = scratch.take();
-            {
-                // m ← c̃₂ + c̃₁∘r̃₂, then out of the NTT domain.
-                let _span = self.obs.sp_dec_pointwise.enter();
-                m.copy_from_slice(ct.c2_hat.as_slice());
-                pointwise::mul_add_assign(
-                    &mut m,
-                    ct.c1_hat.as_slice(),
-                    sk.r2_hat.as_slice(),
-                    p.reducer(),
-                    // ct-allow(decode errors depend on ciphertext structure, not the message)
-                )?;
-            }
-            {
-                let _span = self.obs.sp_dec_ntt.enter();
-                p.inverse_avx2(&mut m);
-            }
-            {
-                let _span = self.obs.sp_dec_decode.enter();
-                decode_message_into(&m, self.params.q(), out);
-            }
+            let t0 = Instant::now();
+            // m ← c̃₂ + c̃₁∘r̃₂, then out of the NTT domain.
+            m.copy_from_slice(ct.c2_hat.as_slice());
+            pointwise::mul_add_assign(
+                &mut m,
+                ct.c1_hat.as_slice(),
+                sk.r2_hat.as_slice(),
+                p.reducer(),
+                // ct-allow(decode errors depend on ciphertext structure, not the message)
+            )?;
+            let t1 = Instant::now();
+            p.inverse_avx2(&mut m);
+            let t2 = Instant::now();
+            decode_message_into(&m, self.params.q(), out);
+            record_phases(&self.obs.decrypt_phases, &[t0, t1, t2, Instant::now()]);
             scratch.put(m);
             Ok(())
         })
@@ -1164,12 +1152,7 @@ mod tests {
 
     #[test]
     fn sampler_kinds_all_round_trip() {
-        for kind in [
-            SamplerKind::Basic,
-            SamplerKind::Lut1,
-            SamplerKind::Lut,
-            SamplerKind::CtCdt,
-        ] {
+        for kind in [SamplerKind::Lut, SamplerKind::CtCdt] {
             let ctx = RlweContext::builder(ParamSet::P1)
                 .sampler(kind)
                 .build()
@@ -1182,6 +1165,33 @@ mod tests {
             let ct = ctx.encrypt(&pk, &msg, &mut rng).unwrap();
             assert_eq!(ctx.decrypt(&sk, &ct).unwrap(), msg, "{kind:?}");
         }
+    }
+
+    #[test]
+    fn every_call_records_each_pipeline_phase_once() {
+        // A ring no other test in this binary uses, so its series are
+        // this test's own.
+        let params = Params::custom(128, 7681, rlwe_sampler::GaussianSpec::p1());
+        let ctx = RlweContext::with_params(params).unwrap();
+        let set = params.obs_label();
+        let series: Vec<_> = ENCRYPT_PHASES
+            .iter()
+            .map(|phase| phase_histogram("encrypt", phase, &set))
+            .chain(
+                DECRYPT_PHASES
+                    .iter()
+                    .map(|phase| phase_histogram("decrypt", phase, &set)),
+            )
+            .collect();
+        let counts = || -> Vec<u64> { series.iter().map(|h| h.snapshot().len()).collect() };
+        let mut rng = StdRng::seed_from_u64(47);
+        let (pk, sk) = ctx.generate_keypair(&mut rng).unwrap();
+        let before = counts();
+        let ct = ctx.encrypt(&pk, &[0x2Eu8; 16], &mut rng).unwrap();
+        ctx.decrypt(&sk, &ct).unwrap();
+        let after = counts();
+        let delta: Vec<u64> = after.iter().zip(&before).map(|(a, b)| a - b).collect();
+        assert_eq!(delta, vec![1; 7], "one record per phase per call");
     }
 
     #[test]

@@ -56,7 +56,8 @@ pub mod fo;
 pub mod kem;
 
 pub use context::{
-    DecryptionDiagnostics, NttBackend, RlweContext, RlweContextBuilder, SamplerKind,
+    phase_histogram, DecryptionDiagnostics, NttBackend, RlweContext, RlweContextBuilder,
+    SamplerKind, DECRYPT_PHASES, ENCRYPT_PHASES,
 };
 pub use encode::{
     decode_coefficient, decode_message, decode_message_into, encode_message,

@@ -1,20 +1,18 @@
-//! Unified observability for the rlwe workspace: a metrics registry,
-//! RAII span tracing, and exposition-format exporters.
+//! Unified observability for the rlwe workspace: a metrics registry
+//! and exposition-format exporters.
 //!
-//! Three pieces, all std-only and lock-free on the hot path:
+//! Two pieces, both std-only and lock-free on the hot path:
 //!
 //! - **[`registry`]** — named [`Counter`]s, [`Gauge`]s and sharded
 //!   nanosecond [`Histogram`]s with label support. Handles are resolved
 //!   *once* at registration (a [`Registry`] lookup under a mutex);
 //!   recording through a handle afterwards is a single relaxed atomic
 //!   operation, so instrumented hot paths never touch the registry lock.
-//! - **[`span`]** — RAII [`Span`] guards with thread-local span stacks
-//!   feeding a bounded lock-free ring-buffer event sink. Tracing is off
-//!   by default: a disabled span costs one relaxed load and a branch
-//!   (measured well under 5 ns — see `rlwe-bench`'s `obs_overhead`
-//!   bench arm, which asserts the bound in CI).
+//!   The encrypt/decrypt pipeline phases are histograms like any other
+//!   (`rlwe_phase_ns{op, phase, param_set}`, resolved by `rlwe-core`'s
+//!   contexts and recorded on every call).
 //! - **[`export`]** — Prometheus-style text exposition and a JSON
-//!   snapshot, both pure functions of a registry so a future network
+//!   snapshot, both pure functions of a registry so a network
 //!   front-end can serve [`render`] verbatim.
 //!
 //! The aligned-text-table formatter behind `rlwe-m4sim`'s table
@@ -22,13 +20,13 @@
 //!
 //! # No secret data
 //!
-//! Metric names, label values and span names must be keyed only by
-//! *public* data (parameter set, reducer kind, backend, operation name —
-//! never key material, messages or noise). Recording a duration or
-//! bumping a counter performs no data-dependent branching, so
-//! instrumentation cannot perturb constant-time code; the
-//! `crates/leakage` invariance gates pin that enabling tracing leaves
-//! decapsulation operation traces bit-identical.
+//! Metric names and label values must be keyed only by *public* data
+//! (parameter set, reducer kind, backend, operation name — never key
+//! material, messages or noise). Recording a duration or bumping a
+//! counter performs no data-dependent branching, so instrumentation
+//! cannot perturb constant-time code; the `crates/leakage` invariance
+//! gates pin that CCA decapsulation advances every phase series by the
+//! same count on its accept and implicit-reject paths.
 //!
 //! # Example
 //!
@@ -50,12 +48,10 @@
 pub mod export;
 pub mod hist;
 pub mod registry;
-pub mod span;
 pub mod table;
 
 pub use hist::{Histogram, HistogramSnapshot};
 pub use registry::{Counter, Gauge, Registry};
-pub use span::{phase_totals, PhaseTotal, Span, SpanEvent, SpanId};
 pub use table::{group_digits, Align, Col, TextTable};
 
 use std::sync::OnceLock;
@@ -82,16 +78,6 @@ pub fn render_json() -> String {
     export::render_json(global())
 }
 
-/// Enables or disables span tracing process-wide. Off by default.
-pub fn set_tracing(on: bool) {
-    span::set_enabled(on)
-}
-
-/// Whether span tracing is currently enabled.
-pub fn tracing_enabled() -> bool {
-    span::enabled()
-}
-
 #[cfg(test)]
 mod tests {
     #[test]
@@ -99,14 +85,5 @@ mod tests {
         let a = super::global() as *const _;
         let b = super::global() as *const _;
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn tracing_toggle_round_trips() {
-        // Other tests share the flag; just exercise both transitions.
-        super::set_tracing(true);
-        assert!(super::tracing_enabled());
-        super::set_tracing(false);
-        assert!(!super::tracing_enabled());
     }
 }

@@ -79,12 +79,16 @@ fn p2_sampler_fits_its_own_distribution() {
 }
 
 mod cross_rung_identity {
-    //! The context builder exposes four sampler rungs (Basic / Lut1 / Lut
-    //! / CtCdt). They consume random bits differently, but every rung
-    //! must draw the *same* discrete Gaussian — these property tests pin
-    //! that identity across random seeds, so a table-construction bug in
-    //! any one rung (including the constant-time CDT path) shows up as a
-    //! distribution divergence rather than a silent security-margin loss.
+    //! The sampler ladder has four rungs: the Knuth-Yao walks
+    //! `sample_basic`, `sample_lut1` and `sample_lut`, and the
+    //! constant-time CDT sampler. The context builder serves the last two
+    //! (`SamplerKind::Lut` / `CtCdt`); the benches and the cost model call
+    //! the walks directly. The rungs consume random bits differently, but
+    //! every rung must draw the *same* discrete Gaussian — these property
+    //! tests pin that identity across random seeds, so a
+    //! table-construction bug in any one rung (including the
+    //! constant-time CDT path) shows up as a distribution divergence
+    //! rather than a silent security-margin loss.
 
     use super::*;
     use proptest::prelude::*;

@@ -143,6 +143,7 @@ mod tests {
             "rlwe_ntt_dispatch_total",
             "rlwe_sampler_draws_total",
             "rlwe_kem_op_ns",
+            "rlwe_phase_ns",
             "rlwe_session_frames_sealed_total",
             "rlwe_session_handshakes_total",
             "rlwe_server_requests_total",

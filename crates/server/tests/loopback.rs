@@ -699,6 +699,7 @@ fn session_counters_track_handshakes_frames_and_confirm_failures() {
         "rlwe_ntt_dispatch_total",
         "rlwe_sampler_draws_total",
         "rlwe_kem_op_ns",
+        r#"rlwe_phase_ns_count{op="decrypt",phase="decode",param_set="P2"}"#,
         "rlwe_session_frames_sealed_total",
         "rlwe_session_frames_opened_total",
         "rlwe_session_frames_rejected_total",

@@ -1,12 +1,12 @@
 //! A tour of the `rlwe-obs` observability layer: private registries,
-//! the global registry the whole stack reports into, span tracing with
-//! a per-phase breakdown, and the two exporters.
+//! the global registry the whole stack reports into, the per-phase
+//! breakdown of encrypt/decrypt it carries, and the two exporters.
 //!
 //! Run with `cargo run --release --example obs_tour`.
 
 use rlwe_suite::obs;
 use rlwe_suite::scheme::drbg::HashDrbg;
-use rlwe_suite::scheme::{ParamSet, RlweContext};
+use rlwe_suite::scheme::{phase_histogram, ParamSet, RlweContext, DECRYPT_PHASES, ENCRYPT_PHASES};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. Registries hand out cheap handles: resolve once, record with a
@@ -33,20 +33,27 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut rng = HashDrbg::new([7u8; 32]);
     let (pk, sk) = ctx.generate_keypair(&mut rng)?;
 
-    // 3. Span tracing is off by default (a disabled span costs ~1 ns);
-    //    enable it to get a per-phase breakdown of encrypt/decrypt.
-    obs::set_tracing(true);
+    // 3. Every encrypt and decrypt records its pipeline phases into
+    //    `rlwe_phase_ns{op, phase, param_set}`; read them back from the
+    //    registry.
     for _ in 0..200 {
         let (ct, _ss) = ctx.encapsulate(&pk, &mut rng)?;
         let _ = ctx.decapsulate(&sk, &ct)?;
     }
-    obs::set_tracing(false);
-
-    println!("pipeline phases (from the span ring buffer):");
-    for phase in obs::phase_totals() {
+    let set = ctx.params().obs_label();
+    println!("pipeline phases (from rlwe_phase_ns, {set}):");
+    let phases = ENCRYPT_PHASES
+        .iter()
+        .map(|phase| ("encrypt", phase))
+        .chain(DECRYPT_PHASES.iter().map(|phase| ("decrypt", phase)));
+    for (op, phase) in phases {
+        let snap = phase_histogram(op, phase, &set).snapshot();
         println!(
-            "  {:<20} {:>6} spans, {:>9} ns total",
-            phase.name, phase.count, phase.total_ns
+            "  {:<20} {:>6} calls, p50 ≈ {:>7.0} ns, {:>9} ns total",
+            format!("{op}.{phase}"),
+            snap.len(),
+            snap.quantile_ns(0.5),
+            snap.sum_ns()
         );
     }
 

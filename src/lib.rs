@@ -32,7 +32,7 @@
 //!   operation-count checks that gate CI (see `DESIGN.md` §5).
 //! * [`obs`] — unified observability: a metrics registry every layer
 //!   reports into (pool, NTT dispatch, sessions, samplers, KEM
-//!   latencies), RAII span tracing of the pipeline phases, and
+//!   latencies, per-phase encrypt/decrypt histograms), and
 //!   Prometheus/JSON exporters — `rlwe_suite::obs::render()` is a
 //!   ready-to-serve metrics endpoint body (see `DESIGN.md` §8).
 //! * [`server`] — the TCP serving front-end: a std-only
