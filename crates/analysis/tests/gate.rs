@@ -136,10 +136,12 @@ fn frame_aead_is_linted_as_secret_handling() {
 #[test]
 fn the_servers_static_key_is_tracked_through_serve() {
     // `serve` derives the long-term keypair from the seed's DRBG and
-    // hands it to every thread through `Shared`. Its ct-allow comments
-    // are each a reviewed claim about one such flow; with them stripped
-    // the lint must report those flows, so no wrapper can hide the key
-    // from the analysis unnoticed.
+    // hands it to the acceptor through `Shared`; the acceptor passes it
+    // on to each worker it spawns, through `spawn_worker`'s
+    // `ct: secret` parameter. The ct-allow comments are each a reviewed
+    // claim about one such flow; with them stripped the lint must
+    // report those flows, so no wrapper can hide the key from the
+    // analysis unnoticed.
     let path = rlwe_analysis::workspace_root().join("crates/server/src/server.rs");
     let src = std::fs::read_to_string(&path).expect("server.rs readable");
     let stripped: String = src
@@ -160,12 +162,12 @@ fn the_servers_static_key_is_tracked_through_serve() {
             .any(|f| f.rule == Rule::CtTry && f.detail.contains("`pk`")),
         "key generation's `?` is not tracked: {in_serve:?}"
     );
-    for callee in ["acceptor_loop", "worker_loop"] {
+    for (caller, callee) in [("serve", "acceptor_loop"), ("spawn_worker", "worker_loop")] {
         assert!(
-            in_serve
-                .iter()
-                .any(|f| f.rule == Rule::CtCallSink && f.detail.contains(callee)),
-            "the key's flow into `{callee}` is not tracked: {in_serve:?}"
+            findings.iter().any(|f| f.function == caller
+                && f.rule == Rule::CtCallSink
+                && f.detail.contains(callee)),
+            "the key's flow from `{caller}` into `{callee}` is not tracked: {findings:?}"
         );
     }
 }

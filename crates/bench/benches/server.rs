@@ -1,6 +1,6 @@
 //! Loopback round-trip latency of the TCP serving front-end: what one
 //! request costs once it crosses a real socket, kernel scheduling, and
-//! the server's queue/worker pipeline — the overhead the in-process
+//! the server's acceptor/worker hand-off — the overhead the in-process
 //! session benches (`perf_snapshot`'s `session_*` arms) never see.
 //!
 //! Arms: `ping` isolates pure transport + dispatch cost (no lattice
@@ -17,7 +17,6 @@ use std::hint::black_box;
 fn setup() -> (rlwe_server::ServerHandle, Client) {
     let config = ServerConfig {
         addr: "127.0.0.1:0".parse().unwrap(),
-        workers: 2,
         seed: [3u8; 32],
         ..ServerConfig::default()
     };

@@ -7,13 +7,11 @@
 //! | variable | meaning | default |
 //! |----------|---------|---------|
 //! | `RLWE_SERVER_ADDR` | listen address | `127.0.0.1:7681` |
-//! | `RLWE_WORKERS` | worker-thread count | `available_parallelism().min(8)` |
-//! | `RLWE_QUEUE_CAPACITY` | queued-connection capacity | `256` |
-//! | `RLWE_MAX_CONNS` | live-connection ceiling | `1024` |
+//! | `RLWE_MAX_CONNS` | live-connection (and worker-thread) ceiling | `1024` |
 //! | `RLWE_PARAM_SET` | `P1` or `P2` | `P1` |
 //! | `RLWE_READ_TIMEOUT_MS` | per-read timeout mid-request | `5000` |
 //! | `RLWE_WRITE_TIMEOUT_MS` | per-write timeout | `5000` |
-//! | `RLWE_IDLE_TIMEOUT_MS` | eviction deadline between requests | `30000` |
+//! | `RLWE_IDLE_TIMEOUT_MS` | eviction deadline between requests; also how long a parked worker thread lives | `30000` |
 //! | `RLWE_DRAIN_TIMEOUT_MS` | per-connection grace during shutdown | `500` |
 //! | `RLWE_SERVER_SEED` | 64 hex chars; server keypair seed | time-derived |
 //!
@@ -29,10 +27,6 @@ use std::time::Duration;
 pub mod env_vars {
     /// Listen address.
     pub const ADDR: &str = "RLWE_SERVER_ADDR";
-    /// Worker-thread count.
-    pub const WORKERS: &str = "RLWE_WORKERS";
-    /// Queued-connection capacity.
-    pub const QUEUE_CAPACITY: &str = "RLWE_QUEUE_CAPACITY";
     /// Live-connection ceiling.
     pub const MAX_CONNS: &str = "RLWE_MAX_CONNS";
     /// Parameter set (`P1`/`P2`).
@@ -76,12 +70,9 @@ pub struct ServerConfig {
     /// Listen address; port 0 binds an ephemeral port (the bound
     /// address is reported by `ServerHandle::local_addr`).
     pub addr: SocketAddr,
-    /// Worker threads serving connections (≥ 1).
-    pub workers: usize,
-    /// Queued-connection capacity (≥ 1). When the queue is full the
-    /// acceptor sheds with a `Busy` frame.
-    pub queue_capacity: usize,
-    /// Ceiling on simultaneously live (queued + serving) connections.
+    /// Ceiling on simultaneously live connections (≥ 1); one past it
+    /// is refused with a `Busy` frame. Each live connection has its own
+    /// worker thread, so this also bounds the thread count.
     pub max_conns: usize,
     /// Ring-LWE parameter set served.
     pub param_set: ParamSet,
@@ -90,7 +81,8 @@ pub struct ServerConfig {
     /// Timeout for response writes.
     pub write_timeout: Duration,
     /// How long a connection may sit idle between requests before
-    /// eviction.
+    /// eviction, and how long a worker thread stays parked for reuse
+    /// before it exits.
     pub idle_timeout: Duration,
     /// Grace window per in-flight connection during graceful shutdown:
     /// requests already in the pipe are served, then the connection is
@@ -100,21 +92,10 @@ pub struct ServerConfig {
     pub seed: [u8; 32],
 }
 
-/// The default worker count: the host's available parallelism, capped
-/// at 8 (1 when it cannot be read).
-pub fn default_workers() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(8)
-}
-
 impl Default for ServerConfig {
     fn default() -> Self {
         Self {
             addr: SocketAddr::from(([127, 0, 0, 1], 7681)),
-            workers: default_workers(),
-            queue_capacity: 256,
             max_conns: 1024,
             param_set: ParamSet::P1,
             read_timeout: Duration::from_millis(5000),
@@ -155,12 +136,6 @@ impl ServerConfig {
                 value: v,
                 reason: "expected a socket address like 127.0.0.1:7681",
             })?;
-        }
-        if let Some(v) = lookup(env_vars::WORKERS) {
-            cfg.workers = parse_nonzero(env_vars::WORKERS, &v)?;
-        }
-        if let Some(v) = lookup(env_vars::QUEUE_CAPACITY) {
-            cfg.queue_capacity = parse_nonzero(env_vars::QUEUE_CAPACITY, &v)?;
         }
         if let Some(v) = lookup(env_vars::MAX_CONNS) {
             cfg.max_conns = parse_nonzero(env_vars::MAX_CONNS, &v)?;
@@ -204,19 +179,12 @@ impl ServerConfig {
     ///
     /// [`ConfigError`] for the first violated constraint.
     pub fn validate(&self) -> Result<(), ConfigError> {
-        let nonzero: [(&'static str, usize); 3] = [
-            (env_vars::WORKERS, self.workers),
-            (env_vars::QUEUE_CAPACITY, self.queue_capacity),
-            (env_vars::MAX_CONNS, self.max_conns),
-        ];
-        for (var, value) in nonzero {
-            if value == 0 {
-                return Err(ConfigError {
-                    var,
-                    value: value.to_string(),
-                    reason: "must be at least 1",
-                });
-            }
+        if self.max_conns == 0 {
+            return Err(ConfigError {
+                var: env_vars::MAX_CONNS,
+                value: "0".to_string(),
+                reason: "must be at least 1",
+            });
         }
         let timeouts: [(&'static str, Duration); 4] = [
             (env_vars::READ_TIMEOUT_MS, self.read_timeout),

@@ -8,15 +8,15 @@
 //!
 //! Five design commitments, each with its own module:
 //!
-//! * **Bounded everywhere** ([`queue`], [`wire`]) — the submission
-//!   queue has a hard capacity and frame bodies have a hard byte bound,
-//!   so a traffic spike or a hostile length prefix degrades into typed
-//!   `Busy`/`BadRequest` responses instead of unbounded memory.
-//! * **Thread-per-core, not thread-per-connection** ([`server`]) — one
-//!   acceptor, blocked in `accept`, feeds a fixed worker pool through
-//!   one bounded MPMC queue (`Mutex<VecDeque>` + `Condvar`) that every
-//!   idle worker waits on; parallelism is `workers`, regardless of
-//!   client count.
+//! * **Bounded everywhere** ([`config`], [`wire`]) — live connections
+//!   have a hard ceiling (`max_conns`) and frame bodies have a hard byte
+//!   bound, so a traffic spike or a hostile length prefix degrades into
+//!   typed `Busy`/`BadRequest` responses instead of unbounded memory.
+//! * **A pooled thread per live connection** ([`server`]) — one
+//!   acceptor, blocked in `accept`, hands each connection to the most
+//!   recently idle worker thread and spawns one only when none is idle;
+//!   a held idle session never delays another client, and a worker
+//!   parked for `idle_timeout` exits.
 //! * **One protocol, two dialects** ([`wire`], [`http`]) — a
 //!   length-prefixed binary protocol with four ops (ping, public key,
 //!   and the engine's authenticated session handshake and frames); the
@@ -24,13 +24,13 @@
 //!   [`rlwe_obs::render`] verbatim) and `GET /healthz`, disambiguated
 //!   by the first byte. The server's secret key is used only to accept
 //!   session handshakes.
-//! * **Config from the environment** ([`config`]) — address, workers,
-//!   queue capacity, connection ceiling and every timeout come from
-//!   `RLWE_*` variables, validated into typed errors.
+//! * **Config from the environment** ([`config`]) — address, connection
+//!   ceiling, parameter set and every timeout come from `RLWE_*`
+//!   variables, validated into typed errors.
 //! * **Observable by default** ([`metrics`]) — accepted/rejected/active
-//!   connections, the queue depth, shed counts and per-op latency
-//!   histograms flow into the process-wide `rlwe-obs` registry the
-//!   endpoint itself serves.
+//!   connections, live worker threads and per-op latency histograms
+//!   flow into the process-wide `rlwe-obs` registry the endpoint itself
+//!   serves.
 //!
 //! # Example
 //!
@@ -64,7 +64,6 @@ pub mod config;
 pub mod error;
 pub mod http;
 pub mod metrics;
-pub mod queue;
 pub mod server;
 pub mod wire;
 
@@ -72,7 +71,6 @@ pub use client::{http_get, Client, HttpResponse};
 pub use config::{ConfigError, ServerConfig};
 pub use error::ServerError;
 pub use metrics::{RejectReason, ServerMetrics};
-pub use queue::BoundedQueue;
 pub use server::{serve, ServerHandle};
 pub use wire::{OpCode, ProtocolError, Request, Response, Status};
 
@@ -84,7 +82,6 @@ mod tests {
     fn loopback_config(param_set: ParamSet) -> ServerConfig {
         ServerConfig {
             addr: "127.0.0.1:0".parse().unwrap(),
-            workers: 2,
             param_set,
             seed: [42u8; 32],
             ..ServerConfig::default()

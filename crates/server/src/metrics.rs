@@ -7,9 +7,8 @@
 //!
 //! - `connections_accepted_total`, `connections_rejected_total{reason}`,
 //!   `connections_active` — front-door accounting.
-//! - `queue_depth` — live submission-queue depth.
-//! - `shed_total` — connections answered `Busy` because the queue was
-//!   at capacity (the bounded-memory guarantee made observable).
+//! - `connections_dispatched_total` — connections a worker started on.
+//! - `worker_threads` — live worker threads, parked or serving.
 //! - `requests_total{op}` / `request_ns{op,param_set}` — per-operation
 //!   counts and latency histograms.
 //! - `idle_evictions_total` — connections closed for silence.
@@ -35,9 +34,8 @@ use rlwe_obs::{Counter, Gauge, Histogram};
 /// `reason` label of `rlwe_server_connections_rejected_total`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RejectReason {
-    /// The submission queue was at capacity.
-    QueueFull,
-    /// The live-connection ceiling was reached.
+    /// The live-connection ceiling was reached (or the OS refused
+    /// another worker thread).
     MaxConns,
     /// The server is draining for shutdown.
     Shutdown,
@@ -46,7 +44,6 @@ pub enum RejectReason {
 impl RejectReason {
     fn label(self) -> &'static str {
         match self {
-            RejectReason::QueueFull => "queue_full",
             RejectReason::MaxConns => "max_conns",
             RejectReason::Shutdown => "shutdown",
         }
@@ -57,12 +54,10 @@ impl RejectReason {
 /// [module docs](self).
 pub struct ServerMetrics {
     accepted: Counter,
-    rejected_queue_full: Counter,
     rejected_max_conns: Counter,
     rejected_shutdown: Counter,
     active: Gauge,
-    shed: Counter,
-    queue_depth: Gauge,
+    worker_threads: Gauge,
     requests: [Counter; ALL_OPS.len()],
     request_ns: [Histogram; ALL_OPS.len()],
     idle_evictions: Counter,
@@ -93,25 +88,19 @@ impl ServerMetrics {
         Self {
             accepted: reg.counter(
                 "rlwe_server_connections_accepted_total",
-                "Connections accepted and queued for a worker.",
+                "Connections accepted and handed to a worker.",
                 &[],
             ),
-            rejected_queue_full: rejected(RejectReason::QueueFull),
             rejected_max_conns: rejected(RejectReason::MaxConns),
             rejected_shutdown: rejected(RejectReason::Shutdown),
             active: reg.gauge(
                 "rlwe_server_connections_active",
-                "Connections currently queued or being served.",
+                "Connections currently being served.",
                 &[],
             ),
-            shed: reg.counter(
-                "rlwe_server_shed_total",
-                "Connections answered Busy because the queue was full.",
-                &[],
-            ),
-            queue_depth: reg.gauge(
-                "rlwe_server_queue_depth",
-                "Live submission-queue depth.",
+            worker_threads: reg.gauge(
+                "rlwe_server_worker_threads",
+                "Live worker threads, parked or serving.",
                 &[],
             ),
             requests: ALL_OPS.map(|op| {
@@ -150,7 +139,7 @@ impl ServerMetrics {
             ),
             dispatched: reg.counter(
                 "rlwe_server_connections_dispatched_total",
-                "Connections handed from the queue to a worker.",
+                "Connections a worker thread started serving.",
                 &[],
             ),
             handshakes: reg.counter(
@@ -187,21 +176,31 @@ impl ServerMetrics {
         self.active.add(1);
     }
 
-    /// One refused connection; queue-full refusals also count as shed.
-    pub fn on_reject(&self, reason: RejectReason) {
+    fn rejected(&self, reason: RejectReason) -> &Counter {
         match reason {
-            RejectReason::QueueFull => {
-                self.rejected_queue_full.inc();
-                self.shed.inc();
-            }
-            RejectReason::MaxConns => self.rejected_max_conns.inc(),
-            RejectReason::Shutdown => self.rejected_shutdown.inc(),
+            RejectReason::MaxConns => &self.rejected_max_conns,
+            RejectReason::Shutdown => &self.rejected_shutdown,
         }
     }
 
-    /// A worker picked a connection off the queue.
+    /// One refused connection.
+    pub fn on_reject(&self, reason: RejectReason) {
+        self.rejected(reason).inc();
+    }
+
+    /// A worker started serving a connection.
     pub fn on_dispatch(&self) {
         self.dispatched.inc();
+    }
+
+    /// A worker thread started.
+    pub fn on_worker_start(&self) {
+        self.worker_threads.add(1);
+    }
+
+    /// A worker thread retired.
+    pub fn on_worker_exit(&self) {
+        self.worker_threads.sub(1);
     }
 
     /// A live connection went away (served, evicted, or errored).
@@ -254,19 +253,14 @@ impl ServerMetrics {
         }
     }
 
-    /// The depth gauge for [`crate::queue::BoundedQueue`].
-    pub fn queue_depth_gauge(&self) -> Gauge {
-        self.queue_depth.clone()
-    }
-
     /// Total accepted connections.
     pub fn accepted_total(&self) -> u64 {
         self.accepted.get()
     }
 
-    /// Total shed (Busy-answered) connections.
-    pub fn shed_total(&self) -> u64 {
-        self.shed.get()
+    /// Connections refused at the front door for `reason`.
+    pub fn rejected_total(&self, reason: RejectReason) -> u64 {
+        self.rejected(reason).get()
     }
 
     /// Currently live connections.
@@ -274,7 +268,7 @@ impl ServerMetrics {
         self.active.get()
     }
 
-    /// Connections handed to workers so far.
+    /// Connections workers started serving so far.
     pub fn dispatched_total(&self) -> u64 {
         self.dispatched.get()
     }

@@ -1,42 +1,45 @@
-//! The serving core: acceptor, worker pool, per-connection protocol
-//! loop, and graceful shutdown.
+//! The serving core: acceptor, pooled worker threads, per-connection
+//! protocol loop, and graceful shutdown.
 //!
 //! ## Thread architecture
 //!
 //! ```text
-//!                    ┌─────────────┐   one bounded queue
-//!   TCP clients ───▶ │  acceptor   │ ──▶ [conn, conn, …] ──▶ worker 0
-//!                    │ (blocking,  │                     ──▶ worker 1
-//!                    │  sheds when │                     ──▶ …
-//!                    │  full/over) │                     ──▶ worker N-1
-//!                    └─────────────┘   (every idle worker waits on it)
+//!                    ┌─────────────┐  most recently idle worker,
+//!   TCP clients ───▶ │  acceptor   │  else a new thread
+//!                    │ (blocking,  │ ──▶ worker ◀──▶ conn
+//!                    │  refuses at │ ──▶ worker ◀──▶ conn
+//!                    │  max_conns) │ ──▶ …
+//!                    └─────────────┘     idle: [worker, worker] (parked)
 //! ```
 //!
-//! One acceptor thread accepts, enforces the connection ceiling, and
-//! pushes connections onto the bounded queue; when the queue is full it
-//! answers a typed [`Status::Busy`] frame and closes — load is shed at
-//! the front door and queue memory stays bounded. Every idle worker
-//! waits on the same queue, so a push wakes whichever worker is free.
-//! Each worker pops a connection and serves it to completion (request
-//! loop with idle eviction), so `workers` is the true parallelism bound.
+//! One acceptor thread accepts and enforces the `max_conns` ceiling.
+//! Every live connection has a worker thread of its own, so a client
+//! holding an idle session delays no one. The acceptor hands each
+//! connection to the most recently idle worker, through that worker's
+//! slot, and wakes it with [`Thread::unpark`]; only when no worker is
+//! idle does it spawn one. A worker serves its connection to completion
+//! (request loop with idle eviction), then parks on the idle stack, and
+//! exits once it has been parked for `idle_timeout`. Busy workers never
+//! outnumber live connections, so `max_conns` also bounds the thread
+//! count.
 //!
 //! The protocol has four ops (see [`crate::wire`]). The server's secret
 //! key is reached only through `Session::accept` on a `SessionHello`.
 //!
 //! ## Graceful shutdown
 //!
-//! [`ServerHandle::shutdown`] flips the shutdown flag, closes the queue
-//! and wakes the acceptor, which stops accepting (a connection that
-//! races the flag is refused with [`Status::ShuttingDown`], and the
-//! backlog closes with the listener); workers drain everything still
-//! queued and give every in-flight connection a [`ServerConfig::drain_timeout`]
-//! grace window — requests already in the pipe are served, then the
-//! connection closes. `shutdown` returns once every thread has joined.
+//! [`ServerHandle::shutdown`] flips the shutdown flag and wakes the
+//! acceptor, which stops accepting (a connection that races the flag is
+//! refused with [`Status::ShuttingDown`], and the backlog closes with
+//! the listener). It then wakes every parked worker, which exits at
+//! once, and gives every in-flight connection a
+//! [`ServerConfig::drain_timeout`] grace window — requests already in
+//! the pipe are served, then the connection closes. `shutdown` returns
+//! once every thread has joined.
 
 use crate::config::ServerConfig;
 use crate::http;
 use crate::metrics::{RejectReason, ServerMetrics};
-use crate::queue::BoundedQueue;
 use crate::wire::{
     self, OpCode, ReadOutcome, Request, Status, MAGIC, REJECT_PERMANENT, REJECT_RETRYABLE,
 };
@@ -46,23 +49,46 @@ use rlwe_core::{RlweContext, SecretKey};
 use rlwe_engine::{Session, SessionError, StreamReceiver, StreamSender};
 use std::io::Read;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::thread::{JoinHandle, Thread};
 use std::time::{Duration, Instant};
 
 /// Granularity at which blocked reads re-check the shutdown flag (the
-/// acceptor is woken instead). Bounds shutdown latency without
-/// busy-spinning.
+/// acceptor and parked workers are woken instead). Bounds shutdown
+/// latency without busy-spinning.
 const POLL: Duration = Duration::from_millis(25);
 
 /// One accepted connection travelling from acceptor to worker.
 struct Conn {
     stream: TcpStream,
-    /// Whether this connection's live-count accounting was already
-    /// released (metrics scrapes release themselves before rendering so
-    /// the served body matches a post-close `render()` byte for byte).
+    /// Whether this connection's `connections_active` accounting was
+    /// already released (metrics scrapes release themselves before
+    /// rendering so the served body matches a post-close `render()`
+    /// byte for byte).
     released: bool,
+}
+
+/// A worker's hand-off cell. The acceptor fills it under the pool lock,
+/// so a worker that is no longer on the idle stack finds its next
+/// connection here.
+type Slot = Mutex<Option<Conn>>;
+
+/// A parked worker: its thread, and the slot it is handed work through.
+struct Idle {
+    thread: Thread,
+    slot: Arc<Slot>,
+}
+
+/// The worker threads, behind one lock.
+#[derive(Default)]
+struct Pool {
+    /// Parked workers, the most recently idle last.
+    idle: Vec<Idle>,
+    /// Live worker threads, parked or serving.
+    threads: usize,
+    /// Every worker not yet seen to have exited, for shutdown to join.
+    handles: Vec<JoinHandle<()>>,
 }
 
 /// Everything the acceptor, workers and handle share.
@@ -71,21 +97,27 @@ struct Shared {
     ctx: Arc<RlweContext>,
     pk_bytes: Vec<u8>,
     sk: SecretKey,
-    queue: BoundedQueue<Conn>,
+    pool: Mutex<Pool>,
     metrics: ServerMetrics,
     shutdown: AtomicBool,
-    /// Live (queued + serving) connections, for `max_conns`.
-    live: AtomicI64,
 }
 
 impl Shared {
     fn release(&self, conn: &mut Conn) {
         if !conn.released {
             conn.released = true;
-            self.live.fetch_sub(1, Ordering::AcqRel);
             self.metrics.on_close();
         }
     }
+}
+
+/// Locks `m`, recovering from poisoning instead of panicking. Every
+/// critical section here is a few field stores or one `Vec` push, pop
+/// or retain, which completes or does not happen, so a peer that
+/// panicked cannot leave the state torn; recovering keeps the accept
+/// path alive.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// A running server. Dropping the handle shuts the server down
@@ -94,12 +126,11 @@ pub struct ServerHandle {
     local_addr: SocketAddr,
     shared: Arc<Shared>,
     acceptor: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
 }
 
-/// Binds the configured address and spawns the acceptor and worker
-/// threads. The returned handle reports the bound address (useful with
-/// port 0) and owns the server's lifetime.
+/// Binds the configured address and spawns the acceptor thread; worker
+/// threads start as connections arrive. The returned handle reports the
+/// bound address (useful with port 0) and owns the server's lifetime.
 ///
 /// # Errors
 ///
@@ -114,7 +145,6 @@ pub fn serve(config: ServerConfig) -> Result<ServerHandle, ServerError> {
     // ct-allow(pk is the public half of the keypair; encoding fails only on a parameter mismatch)
     let pk_bytes = pk.to_bytes()?;
     let metrics = ServerMetrics::new(&ctx.params().obs_label());
-    let queue = BoundedQueue::new(config.queue_capacity, metrics.queue_depth_gauge());
     let listener = TcpListener::bind(config.addr)?;
     let local_addr = listener.local_addr()?;
 
@@ -122,10 +152,9 @@ pub fn serve(config: ServerConfig) -> Result<ServerHandle, ServerError> {
         ctx,
         pk_bytes,
         sk,
-        queue,
+        pool: Mutex::default(),
         metrics,
         shutdown: AtomicBool::new(false),
-        live: AtomicI64::new(0),
         config,
     });
 
@@ -133,27 +162,16 @@ pub fn serve(config: ServerConfig) -> Result<ServerHandle, ServerError> {
         let shared = Arc::clone(&shared);
         std::thread::Builder::new()
             .name("rlwe-acceptor".into())
-            // ct-allow(the acceptor branches only on public state: the shutdown flag, live count and config)
+            // ct-allow(the acceptor branches only on public state: the shutdown flag, pool counts and config)
             .spawn(move || acceptor_loop(&shared, listener))
             // ct-allow(a thread spawn fails only on OS resource limits, never on key material)
             .map_err(ServerError::Io)?
     };
-    let workers = (0..shared.config.workers)
-        .map(|i| {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name(format!("rlwe-worker-{i}"))
-                // ct-allow(workers branch on public queue and request state; sk is used only inside Session::accept)
-                .spawn(move || worker_loop(&shared))
-                .map_err(ServerError::Io)
-        })
-        .collect::<Result<Vec<_>, _>>()?;
 
     Ok(ServerHandle {
         local_addr,
         shared,
         acceptor: Some(acceptor),
-        workers,
     })
 }
 
@@ -169,21 +187,22 @@ impl ServerHandle {
         &self.shared.metrics
     }
 
-    /// Connections currently waiting in the submission queue.
-    pub fn queue_depth(&self) -> usize {
-        self.shared.queue.len()
+    /// This server's live worker threads, parked or serving (the
+    /// `rlwe_server_worker_threads` gauge sums every server in the
+    /// process).
+    pub fn worker_threads(&self) -> usize {
+        lock(&self.shared.pool).threads
     }
 
-    /// Graceful shutdown: stop accepting, drain queued and in-flight
-    /// connections (each gets the configured drain grace), join every
-    /// thread. Idempotent via [`Drop`].
+    /// Graceful shutdown: stop accepting, wake parked workers, drain
+    /// in-flight connections (each gets the configured drain grace),
+    /// join every thread. Idempotent via [`Drop`].
     pub fn shutdown(mut self) {
         self.shutdown_in_place();
     }
 
     fn shutdown_in_place(&mut self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
-        self.shared.queue.close();
         if let Some(a) = self.acceptor.take() {
             // The acceptor blocks in `accept`; a local connect wakes it
             // to see the flag. Should that connect fail, the thread is
@@ -192,7 +211,16 @@ impl ServerHandle {
                 let _ = a.join();
             }
         }
-        for w in self.workers.drain(..) {
+        // A worker parks only after checking the flag under this lock,
+        // so every worker is either woken here or never parks.
+        let handles = {
+            let mut pool = lock(&self.shared.pool);
+            for w in &pool.idle {
+                w.thread.unpark();
+            }
+            std::mem::take(&mut pool.handles)
+        };
+        for w in handles {
             let _ = w.join();
         }
     }
@@ -208,7 +236,7 @@ impl std::fmt::Debug for ServerHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ServerHandle")
             .field("local_addr", &self.local_addr)
-            .field("workers", &self.workers.len())
+            .field("worker_threads", &self.worker_threads())
             .finish()
     }
 }
@@ -226,11 +254,11 @@ fn wake_addr(addr: SocketAddr) -> SocketAddr {
     SocketAddr::new(ip, addr.port())
 }
 
-/// Blocks in `accept`, so a connection is handed to the queue as soon as
+/// Blocks in `accept`, so a connection is handed to a worker as soon as
 /// it arrives. Shutdown wakes it with a local connect; from then on it
 /// accepts nothing, and connections still in the backlog close with the
 /// listener.
-fn acceptor_loop(shared: &Shared, listener: TcpListener) {
+fn acceptor_loop(shared: &Arc<Shared>, listener: TcpListener) {
     loop {
         match listener.accept() {
             Ok(_) if shared.shutdown.load(Ordering::SeqCst) => return,
@@ -251,51 +279,127 @@ fn acceptor_loop(shared: &Shared, listener: TcpListener) {
     }
 }
 
-fn handle_accept(shared: &Shared, mut stream: TcpStream) {
+/// Refuses `stream` at the front door with a typed frame.
+fn refuse(shared: &Shared, stream: &mut TcpStream, reason: RejectReason, status: Status) {
+    shared.metrics.on_reject(reason);
+    let _ = wire::write_frame(stream, &wire::encode_response(status, &[]));
+}
+
+fn handle_accept(shared: &Arc<Shared>, mut stream: TcpStream) {
     if shared.shutdown.load(Ordering::Relaxed) {
-        shared.metrics.on_reject(RejectReason::Shutdown);
-        let _ = wire::write_frame(
+        refuse(
+            shared,
             &mut stream,
-            &wire::encode_response(Status::ShuttingDown, &[]),
+            RejectReason::Shutdown,
+            Status::ShuttingDown,
         );
         return;
     }
-    if shared.live.load(Ordering::Acquire) >= shared.config.max_conns as i64 {
-        shared.metrics.on_reject(RejectReason::MaxConns);
-        let _ = wire::write_frame(&mut stream, &wire::encode_response(Status::Busy, &[]));
+    let mut pool = lock(&shared.pool);
+    // Every worker off the idle stack holds (or is just releasing) one
+    // connection, so this is the live count `max_conns` bounds.
+    if pool.threads - pool.idle.len() >= shared.config.max_conns {
+        drop(pool);
+        refuse(shared, &mut stream, RejectReason::MaxConns, Status::Busy);
         return;
     }
-    shared.live.fetch_add(1, Ordering::AcqRel);
     shared.metrics.on_accept();
     let conn = Conn {
         stream,
         released: false,
     };
-    if let Err(mut conn) = shared.queue.push(conn) {
-        // Queue full (or just closed): shed with a typed Busy frame
-        // and close — never queue unboundedly.
-        shared.metrics.on_reject(RejectReason::QueueFull);
-        let _ = wire::write_frame(&mut conn.stream, &wire::encode_response(Status::Busy, &[]));
-        shared.release(&mut conn);
+    if let Some(w) = pool.idle.pop() {
+        *lock(&w.slot) = Some(conn);
+        drop(pool);
+        w.thread.unpark();
+        return;
+    }
+    // No idle worker: start one with the connection in its slot. The
+    // pool stays locked, so the new worker cannot park before it is
+    // counted.
+    let slot = Arc::new(Mutex::new(Some(conn)));
+    match spawn_worker(shared, Arc::clone(&slot)) {
+        Ok(handle) => {
+            pool.threads += 1;
+            pool.handles.retain(|h| !h.is_finished());
+            pool.handles.push(handle);
+            shared.metrics.on_worker_start();
+        }
+        Err(_) => {
+            // The OS refused another thread: refuse the connection as
+            // if at the ceiling.
+            drop(pool);
+            if let Some(mut conn) = lock(&slot).take() {
+                refuse(
+                    shared,
+                    &mut conn.stream,
+                    RejectReason::MaxConns,
+                    Status::Busy,
+                );
+                shared.release(&mut conn);
+            }
+        }
     }
 }
 
 // ---------------------------------------------------------------- workers
 
-fn worker_loop(shared: &Shared) {
-    loop {
-        match shared.queue.pop(POLL * 2) {
-            Some(conn) => {
-                shared.metrics.on_dispatch();
-                serve_conn(shared, conn);
+/// Starts a worker on the connection in `slot`. `shared` carries the
+/// server's static key into the new thread.
+fn spawn_worker(
+    /* ct: secret */ shared: &Arc<Shared>,
+    slot: Arc<Slot>,
+) -> std::io::Result<JoinHandle<()>> {
+    let shared = Arc::clone(shared);
+    std::thread::Builder::new()
+        .name("rlwe-worker".into())
+        // ct-allow(workers branch on public pool and request state; sk is used only inside Session::accept)
+        .spawn(move || worker_loop(&shared, &slot))
+}
+
+/// Serves connections until [`next_conn`] retires the worker.
+fn worker_loop(shared: &Shared, slot: &Arc<Slot>) {
+    while let Some(conn) = next_conn(shared, slot) {
+        shared.metrics.on_dispatch();
+        serve_conn(shared, conn);
+    }
+}
+
+/// The worker's next connection: the one already in its slot, else one
+/// handed to it while it is parked on the idle stack. `None` once it
+/// has been parked for `idle_timeout` or shutdown has begun; the worker
+/// is then off the stack and no longer counted.
+fn next_conn(shared: &Shared, slot: &Arc<Slot>) -> Option<Conn> {
+    if let Some(conn) = lock(slot).take() {
+        return Some(conn);
+    }
+    let mut pool = lock(&shared.pool);
+    if !shared.shutdown.load(Ordering::SeqCst) {
+        pool.idle.push(Idle {
+            thread: std::thread::current(),
+            slot: Arc::clone(slot),
+        });
+        drop(pool);
+        let deadline = Instant::now() + shared.config.idle_timeout;
+        loop {
+            std::thread::park_timeout(deadline.saturating_duration_since(Instant::now()));
+            if let Some(conn) = lock(slot).take() {
+                return Some(conn);
             }
-            None => {
-                if shared.queue.is_closed() {
-                    return;
-                }
+            if shared.shutdown.load(Ordering::SeqCst) || Instant::now() >= deadline {
+                break;
             }
         }
+        pool = lock(&shared.pool);
+        // A hand-off that raced the deadline is served, not dropped.
+        if let Some(conn) = lock(slot).take() {
+            return Some(conn);
+        }
+        pool.idle.retain(|w| !Arc::ptr_eq(&w.slot, slot));
     }
+    pool.threads -= 1;
+    shared.metrics.on_worker_exit();
+    None
 }
 
 /// Session state bound to one connection on the server side.

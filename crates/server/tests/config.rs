@@ -27,8 +27,6 @@ fn err_for(pairs: &[(&'static str, &str)]) -> ConfigError {
 fn empty_environment_yields_the_documented_defaults() {
     let cfg = ServerConfig::from_lookup(|_| None).unwrap();
     assert_eq!(cfg.addr, "127.0.0.1:7681".parse().unwrap());
-    assert_eq!(cfg.workers, rlwe_server::config::default_workers());
-    assert_eq!(cfg.queue_capacity, 256);
     assert_eq!(cfg.max_conns, 1024);
     assert_eq!(cfg.param_set, ParamSet::P1);
     assert_eq!(cfg.read_timeout, Duration::from_millis(5000));
@@ -42,8 +40,6 @@ fn every_variable_is_read() {
     let seed_hex = "00112233445566778899aabbccddeeff00112233445566778899aabbccddeeff";
     let cfg = ServerConfig::from_lookup(env(&[
         (env_vars::ADDR, "0.0.0.0:9000"),
-        (env_vars::WORKERS, "3"),
-        (env_vars::QUEUE_CAPACITY, "5"),
         (env_vars::MAX_CONNS, "17"),
         (env_vars::PARAM_SET, "P2"),
         (env_vars::READ_TIMEOUT_MS, "111"),
@@ -54,8 +50,6 @@ fn every_variable_is_read() {
     ]))
     .unwrap();
     assert_eq!(cfg.addr, "0.0.0.0:9000".parse().unwrap());
-    assert_eq!(cfg.workers, 3);
-    assert_eq!(cfg.queue_capacity, 5);
     assert_eq!(cfg.max_conns, 17);
     assert_eq!(cfg.param_set, ParamSet::P2);
     assert_eq!(cfg.read_timeout, Duration::from_millis(111));
@@ -79,11 +73,9 @@ fn param_set_accepts_both_cases() {
 
 #[test]
 fn invalid_values_are_typed_errors_naming_the_variable() {
-    let cases: [(&'static str, &str); 9] = [
+    let cases: [(&'static str, &str); 7] = [
         (env_vars::ADDR, "not-an-address"),
-        (env_vars::WORKERS, "0"),
-        (env_vars::WORKERS, "three"),
-        (env_vars::QUEUE_CAPACITY, "0"),
+        (env_vars::MAX_CONNS, "0"),
         (env_vars::MAX_CONNS, "-5"),
         (env_vars::PARAM_SET, "P3"),
         (env_vars::READ_TIMEOUT_MS, "0"),
@@ -105,16 +97,10 @@ fn invalid_values_are_typed_errors_naming_the_variable() {
 #[test]
 fn validate_rejects_hand_built_zero_fields() {
     let cfg = ServerConfig {
-        workers: 0,
+        max_conns: 0,
         ..ServerConfig::default()
     };
-    assert_eq!(cfg.validate().unwrap_err().var, env_vars::WORKERS);
-
-    let cfg = ServerConfig {
-        queue_capacity: 0,
-        ..ServerConfig::default()
-    };
-    assert_eq!(cfg.validate().unwrap_err().var, env_vars::QUEUE_CAPACITY);
+    assert_eq!(cfg.validate().unwrap_err().var, env_vars::MAX_CONNS);
 
     let cfg = ServerConfig {
         idle_timeout: Duration::ZERO,

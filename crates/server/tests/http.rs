@@ -24,7 +24,6 @@ fn wait_for(what: &str, cond: impl Fn() -> bool) {
 fn http_surface_serves_health_notfound_and_a_golden_metrics_body() {
     let config = ServerConfig {
         addr: "127.0.0.1:0".parse().unwrap(),
-        workers: 2,
         seed: [9u8; 32],
         ..ServerConfig::default()
     };
@@ -93,7 +92,7 @@ fn http_surface_serves_health_notfound_and_a_golden_metrics_body() {
     for series in [
         "rlwe_server_connections_accepted_total",
         "rlwe_server_connections_active",
-        "rlwe_server_queue_depth",
+        "rlwe_server_worker_threads",
         "rlwe_server_http_requests_total",
     ] {
         assert!(body.contains(series), "missing series {series}");

@@ -1,14 +1,15 @@
 //! End-to-end loopback tests against a real TCP server: concurrent
-//! authenticated clients, deterministic load shedding, prompt dispatch
-//! past a busy worker, graceful-shutdown draining, and malformed-frame
-//! robustness.
+//! authenticated clients, the `max_conns` refusal, prompt service past
+//! busy and idle sessions, worker retirement, graceful-shutdown
+//! draining, and malformed-frame robustness.
 //!
 //! Metrics note: the `rlwe-obs` registry is process global, so counter
 //! cells are shared by every server these tests start. All numeric
 //! assertions are therefore *deltas* from a baseline taken at test
-//! start (only one test sheds, only one evicts, and `>=` bounds absorb
-//! the rest); the queue depth comes from `ServerHandle::queue_depth`,
-//! which reads the per-server queue directly.
+//! start (only one test refuses at `max_conns`, and `>=` bounds absorb
+//! the rest); worker-thread counts come from
+//! `ServerHandle::worker_threads`, which reads the per-server pool
+//! directly.
 
 use rlwe_core::drbg::HashDrbg;
 use rlwe_core::{ParamSet, PublicKey};
@@ -16,7 +17,7 @@ use rlwe_engine::{Session, SessionError, StreamReceiver, StreamSender, FRAME_OVE
 use rlwe_server::wire::{
     self, OpCode, ProtocolError, ReadOutcome, Status, MAX_BODY, REJECT_PERMANENT, REJECT_RETRYABLE,
 };
-use rlwe_server::{http_get, serve, Client, ServerConfig, ServerError, ServerHandle};
+use rlwe_server::{http_get, serve, Client, RejectReason, ServerConfig, ServerError, ServerHandle};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -50,10 +51,7 @@ fn thirty_two_concurrent_clients_with_live_metrics_scrapes() {
     const CLIENTS: usize = 32;
     const FRAMES: usize = 10;
 
-    let mut config = base_config();
-    config.workers = 4;
-    config.queue_capacity = 64;
-    let handle = serve(config).unwrap();
+    let handle = serve(base_config()).unwrap();
     let addr = handle.local_addr();
     let accepted0 = handle.metrics().accepted_total();
     let frames0 = handle.metrics().requests_total(OpCode::SessionFrame);
@@ -129,7 +127,7 @@ fn thirty_two_concurrent_clients_with_live_metrics_scrapes() {
         r#"rlwe_server_requests_total{op="session_frame"}"#,
         r#"rlwe_server_requests_total{op="session_hello"}"#,
         r#"rlwe_server_request_ns"#,
-        "\nrlwe_server_queue_depth ",
+        "\nrlwe_server_worker_threads ",
     ] {
         assert!(body.contains(needle), "missing {needle} in:\n{body}");
     }
@@ -153,73 +151,56 @@ fn thirty_two_concurrent_clients_with_live_metrics_scrapes() {
 }
 
 // ------------------------------------------------------------------------
-// Acceptance criterion: with capacity 1, excess connections get a typed
-// Busy frame, rlwe_server_shed_total counts them, and the queue stays
-// bounded.
+// `max_conns` is the one front-door bound: one connection past it gets a
+// typed Busy frame and is closed, and the freed slot serves again.
 // ------------------------------------------------------------------------
 
 #[test]
-fn full_queue_sheds_deterministically_with_a_typed_busy_frame() {
+fn max_conns_refuses_with_a_typed_busy_frame_until_a_connection_closes() {
     let mut config = base_config();
-    config.workers = 1;
-    config.queue_capacity = 1;
+    config.max_conns = 1;
     config.idle_timeout = Duration::from_secs(60);
     let handle = serve(config).unwrap();
     let addr = handle.local_addr();
-    let shed0 = handle.metrics().shed_total();
+    let refused0 = handle.metrics().rejected_total(RejectReason::MaxConns);
 
-    // A: occupy the single worker. The ping response proves a worker
-    // popped this connection and is now parked in its serve loop.
+    // A: holds the only slot. The ping reply proves a worker serves it.
     let mut a = Client::connect(addr).unwrap();
     a.ping(b"occupy").unwrap();
-    assert_eq!(handle.queue_depth(), 0);
 
-    // B: fills the single queue slot (nobody left to pop it).
-    let b = TcpStream::connect(addr).unwrap();
+    // B: over the ceiling — refused with Busy, counted, closed.
+    let mut b = TcpStream::connect(addr).unwrap();
     b.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-    wait_for("B to be queued", || handle.queue_depth() == 1);
-
-    // C: the queue is full — must be shed with Busy, counted, closed.
-    let mut c = TcpStream::connect(addr).unwrap();
-    c.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-    let resp = wire::read_response(&mut c).unwrap();
-    assert_eq!(resp.status, Status::Busy, "excess connection not shed");
-    assert!(resp.body.is_empty());
-    assert_eq!(
-        handle.metrics().shed_total() - shed0,
-        1,
-        "shed counter missed the Busy rejection"
-    );
-    // Bounded: shedding C never grew the queue past its capacity.
-    assert_eq!(handle.queue_depth(), 1);
-    // ... and the Busy frame is followed by connection close.
-    let mut rest = Vec::new();
-    use std::io::Read;
-    assert_eq!(c.read_to_end(&mut rest).unwrap(), 0, "C not closed");
-
-    // Free the worker: B gets dequeued and served — backpressure queues
-    // work, it does not drop it.
-    drop(a);
-    let mut b = b;
-    wire::write_frame(&mut b, &wire::encode_request(OpCode::Ping, b"queued")).unwrap();
     let resp = wire::read_response(&mut b).unwrap();
-    assert_eq!(resp.status, Status::Ok);
-    assert_eq!(resp.body, b"queued");
-    wait_for("queue to drain", || handle.queue_depth() == 0);
+    assert_eq!(resp.status, Status::Busy, "connection over max_conns");
+    assert!(resp.body.is_empty());
+    assert_closed(b);
+    assert_eq!(
+        handle.metrics().rejected_total(RejectReason::MaxConns) - refused0,
+        1,
+        "connections_rejected_total{{reason=\"max_conns\"}} missed the refusal"
+    );
 
+    // Once A closes, its worker parks and serves the next connection:
+    // the ceiling also bounds the thread count.
+    drop(a);
+    wait_for("a connection after A closed to be served", || {
+        Client::connect(addr)
+            .and_then(|mut c| c.ping(b"next"))
+            .is_ok_and(|echo| echo == b"next")
+    });
+    assert_eq!(handle.worker_threads(), 1);
     handle.shutdown();
 }
 
 // ------------------------------------------------------------------------
-// Every idle worker waits on the one queue, so a connection never waits
-// for a particular worker while another sits idle.
+// Every live connection has a worker thread of its own, so neither a
+// busy nor an idle session strands a new connection.
 // ------------------------------------------------------------------------
 
 #[test]
 fn a_busy_worker_does_not_strand_new_connections() {
-    let mut config = base_config();
-    config.workers = 2;
-    let handle = serve(config).unwrap();
+    let handle = serve(base_config()).unwrap();
     let addr = handle.local_addr();
 
     // One worker is held by a long-lived connection; the other is idle.
@@ -243,6 +224,89 @@ fn a_busy_worker_does_not_strand_new_connections() {
     );
     held.ping(b"still held").unwrap();
     drop(held);
+    handle.shutdown();
+}
+
+/// Connects and pings once; returns the client and how long the first
+/// reply took.
+fn first_ping(addr: SocketAddr) -> (Client, Duration) {
+    let t0 = Instant::now();
+    let mut client = Client::connect(addr).unwrap();
+    assert_eq!(client.ping(b"first").unwrap(), b"first");
+    (client, t0.elapsed())
+}
+
+#[test]
+fn idle_sessions_do_not_strand_new_connections() {
+    // More than the eight workers a fixed pool once defaulted to at most.
+    const HELD: usize = 9;
+    let mut config = base_config();
+    config.idle_timeout = Duration::from_secs(3);
+    let handle = serve(config).unwrap();
+    let mut held = Vec::new();
+    let mut slow = Vec::new();
+    for i in 0..HELD {
+        let (client, waited) = first_ping(handle.local_addr());
+        if waited > Duration::from_millis(20) {
+            slow.push((i, waited));
+        }
+        held.push(client);
+    }
+    assert!(
+        slow.is_empty(),
+        "first replies waited behind idle sessions: {slow:?}"
+    );
+    for client in &mut held {
+        assert_eq!(client.ping(b"still held").unwrap(), b"still held");
+    }
+    drop(held);
+    handle.shutdown();
+
+    // Shutdown neither waits out `idle_timeout` on idle sessions nor on
+    // parked workers.
+    let mut config = base_config();
+    config.idle_timeout = Duration::from_secs(60);
+    let handle = serve(config).unwrap();
+    let mut held: Vec<Client> = (0..HELD)
+        .map(|_| first_ping(handle.local_addr()).0)
+        .collect();
+    // The closed sessions' workers park on the idle stack.
+    held.truncate(HELD / 2);
+    std::thread::sleep(Duration::from_millis(50));
+    let t0 = Instant::now();
+    handle.shutdown();
+    let took = t0.elapsed();
+    assert!(
+        took < Duration::from_secs(1),
+        "shutdown with idle sessions took {took:?}"
+    );
+}
+
+#[test]
+fn parked_workers_retire_after_idle_timeout() {
+    let mut config = base_config();
+    config.idle_timeout = Duration::from_millis(200);
+    let handle = serve(config).unwrap();
+    let addr = handle.local_addr();
+
+    // Four live connections, four workers.
+    let clients: Vec<Client> = (0..4).map(|_| first_ping(addr).0).collect();
+    assert_eq!(handle.worker_threads(), 4);
+    drop(clients);
+
+    let t0 = Instant::now();
+    wait_for("parked workers to retire", || handle.worker_threads() == 0);
+    let took = t0.elapsed();
+    assert!(
+        took < Duration::from_secs(2),
+        "workers took {took:?} to retire"
+    );
+
+    // A later connection starts a fresh worker.
+    let (mut client, _) = first_ping(addr);
+    assert_eq!(client.ping(b"again").unwrap(), b"again");
+    assert_eq!(handle.worker_threads(), 1);
+    drop(client);
     handle.shutdown();
 }
 
@@ -305,7 +369,6 @@ fn raw_handshake(addr: SocketAddr, seed: &[u8; 32]) -> RawSession {
 #[test]
 fn graceful_shutdown_drains_the_in_flight_request() {
     let mut config = base_config();
-    config.workers = 1;
     config.drain_timeout = Duration::from_millis(600);
     let handle = serve(config).unwrap();
 
@@ -320,7 +383,7 @@ fn graceful_shutdown_drains_the_in_flight_request() {
     )
     .unwrap();
 
-    // Blocks until the acceptor and all workers have joined — so once
+    // Blocks until the acceptor and every worker have joined — so once
     // it returns, whatever the worker did for us is already on the wire.
     handle.shutdown();
 
@@ -346,9 +409,7 @@ fn graceful_shutdown_drains_the_in_flight_request() {
 
 #[test]
 fn malformed_frames_are_rejected_without_state_damage() {
-    let mut config = base_config();
-    config.workers = 2;
-    let handle = serve(config).unwrap();
+    let handle = serve(base_config()).unwrap();
     let addr = handle.local_addr();
 
     tampered_session_frame_rejected_without_advancing_state(addr);

@@ -5,7 +5,7 @@
 //! (see `rlwe_server::config`):
 //!
 //! ```text
-//! RLWE_SERVER_ADDR=0.0.0.0:7681 RLWE_WORKERS=4 \
+//! RLWE_SERVER_ADDR=0.0.0.0:7681 RLWE_MAX_CONNS=256 \
 //!     cargo run --release --example serve
 //! ```
 //!
@@ -34,8 +34,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         return smoke_test(handle);
     }
 
-    // Serve until the process is killed. The acceptor and workers are
-    // all on their own threads; nothing to do here but wait.
+    // Serve until the process is killed. The acceptor and workers run
+    // on their own threads; nothing to do here but wait.
     loop {
         std::thread::sleep(Duration::from_secs(3600));
     }

@@ -9,7 +9,7 @@
 //! pass `--json` for the JSON metrics snapshot instead of the
 //! Prometheus text exposition.
 
-use rlwe_suite::server::{http_get, serve, Client, ServerConfig};
+use rlwe_suite::server::{http_get, serve, Client, RejectReason, ServerConfig};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -78,10 +78,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         frames as f64 / dt.as_secs_f64()
     );
     println!(
-        "server: {} accepted, {} dispatched, {} shed, {} active now",
+        "server: {} accepted, {} dispatched, {} refused at max_conns, {} active now",
         handle.metrics().accepted_total(),
         handle.metrics().dispatched_total(),
-        handle.metrics().shed_total(),
+        handle.metrics().rejected_total(RejectReason::MaxConns),
         handle.metrics().active_connections()
     );
 

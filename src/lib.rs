@@ -35,9 +35,9 @@
 //!   latencies, per-phase encrypt/decrypt histograms), and
 //!   Prometheus/JSON exporters — `rlwe_suite::obs::render()` is a
 //!   ready-to-serve metrics endpoint body (see `DESIGN.md` §8).
-//! * [`server`] — the TCP serving front-end: a std-only
-//!   thread-per-core acceptor/worker architecture over one bounded
-//!   queue with typed `Busy` backpressure, a length-prefixed protocol
+//! * [`server`] — the TCP serving front-end: a std-only acceptor
+//!   that hands each connection to a pooled worker thread of its own,
+//!   typed `Busy` refusals at the `max_conns` ceiling, a length-prefixed protocol
 //!   carrying the engine's authenticated sessions (ping, public key,
 //!   session hello, session frame), env-driven
 //!   [`server::ServerConfig`], graceful drain-and-join
