@@ -87,12 +87,23 @@ fn coefficient_packing_is_linted_as_secret_handling() {
 fn frame_aead_is_linted_as_secret_handling() {
     // The frame AEAD's key, Poly1305 key and accumulator, and the
     // plaintext `open_in_place` writes are annotated secret, so the lint
-    // checks the ChaCha20 block, the Poly1305 block function and the
-    // open path directly; the baseline gate keeps them branch-free.
+    // checks the ChaCha20 block, both Poly1305 block functions (scalar
+    // and the 4-lane AVX2 kernel with its r-power and accumulator
+    // lanes) and the open path directly; the baseline gate keeps them
+    // branch-free.
     let ws = rlwe_analysis::load_workspace(&rlwe_analysis::workspace_root());
     for (file, name, params) in [
         ("hash/src/chacha20.rs", "chacha20_block", &["key"][..]),
         ("hash/src/poly1305.rs", "poly1305_blocks", &["acc", "r"][..]),
+        ("hash/src/poly1305.rs", "absorb", &["acc", "r"][..]),
+        ("hash/src/poly1305.rs", "absorb_wide", &["acc", "r"][..]),
+        (
+            "hash/src/poly1305_avx2.rs",
+            "blocks_wide",
+            &["acc", "r"][..],
+        ),
+        ("hash/src/poly1305_avx2.rs", "blocks", &["acc", "r"][..]),
+        ("hash/src/poly1305_avx2.rs", "step", &["h", "m", "r"][..]),
         ("hash/src/aead.rs", "open_in_place", &["data"][..]),
     ] {
         let f = ws
@@ -107,7 +118,7 @@ fn frame_aead_is_linted_as_secret_handling() {
             );
         }
     }
-    for field in ["cipher_key", "r_key", "s_key", "acc"] {
+    for field in ["cipher_key", "r_key", "s_key", "acc", "r_lanes", "r5_lanes"] {
         assert!(
             ws.secret_fields.contains(field),
             "`{field}` must carry `// ct: secret`"

@@ -21,11 +21,11 @@
 //!
 //! ```text
 //! cargo run --release -p rlwe-bench --bin perf_snapshot            # print only
-//! cargo run --release -p rlwe-bench --bin perf_snapshot -- --json  # + BENCH_16.json
+//! cargo run --release -p rlwe-bench --bin perf_snapshot -- --json  # + BENCH_24.json
 //! cargo run --release -p rlwe-bench --bin perf_snapshot -- --smoke # CI: few reps
 //! ```
 //!
-//! `--json [PATH]` defaults to `BENCH_16.json` in the working directory;
+//! `--json [PATH]` defaults to `BENCH_24.json` in the working directory;
 //! `--smoke` cuts repetition counts ~100× so CI can exercise the binary in
 //! seconds (the numbers are then smoke-quality — trend data comes from
 //! full runs).
@@ -37,7 +37,7 @@ use rlwe_bench::snapshot::{Snapshot, SnapshotEntry};
 
 /// The PR this snapshot belongs to — bump once per PR; it names the
 /// default `--json` output file and is recorded inside the document.
-const PR: u32 = 16;
+const PR: u32 = 24;
 use rlwe_core::drbg::HashDrbg;
 use rlwe_core::{Ciphertext, ParamSet, PublicKey, RlweContext};
 use rlwe_engine::Session;
@@ -396,7 +396,7 @@ fn main() {
     // --- Vector backend: AVX2 single-poly arms -----------------------------
     println!(
         "(avx2 host: {})",
-        if rlwe_ntt::avx2::available() {
+        if rlwe_zq::cpu::avx2() {
             "yes"
         } else {
             "no — vector arms measure the scalar fallback"
@@ -409,7 +409,7 @@ fn main() {
     // per sample over one ring-sized fill --------------------------------
     println!(
         "(sampler avx2: {})",
-        if rlwe_sampler::avx2::available() {
+        if rlwe_zq::cpu::avx2() {
             "yes"
         } else {
             "no — the _avx2 arms measure the scalar kernel"

@@ -124,7 +124,7 @@ impl SamplerKind {
 /// code, so it reports `scalar`.
 fn sampler_backend_label(sampler: SamplerKind) -> &'static str {
     match sampler {
-        SamplerKind::CtCdt if rlwe_sampler::avx2::available() => "avx2",
+        SamplerKind::CtCdt if rlwe_zq::cpu::avx2() => "avx2",
         _ => "scalar",
     }
 }
@@ -247,7 +247,7 @@ impl ObsHooks {
 ///     .build()?;
 /// assert_eq!(ctx.sampler_kind(), SamplerKind::CtCdt);
 /// // The NTT kernel is picked from the host, not configured.
-/// let avx2 = rlwe_ntt::avx2::available();
+/// let avx2 = rlwe_zq::cpu::avx2();
 /// assert_eq!(ctx.backend() == NttBackend::Avx2, avx2);
 /// # Ok(())
 /// # }
@@ -1135,7 +1135,7 @@ mod tests {
     fn backend_is_selected_from_the_host() {
         for set in [ParamSet::P1, ParamSet::P2] {
             let ctx = RlweContext::new(set).unwrap();
-            let want = if rlwe_ntt::avx2::available() {
+            let want = if rlwe_zq::cpu::avx2() {
                 NttBackend::Avx2
             } else {
                 NttBackend::Reference

@@ -160,7 +160,7 @@ mod tests {
             pool.get(ParamSet::P2).unwrap().reducer_kind(),
             ReducerKind::Q12289
         );
-        let avx2 = rlwe_ntt::avx2::available();
+        let avx2 = rlwe_zq::cpu::avx2();
         for set in [ParamSet::P1, ParamSet::P2] {
             let ct = Arc::new(
                 RlweContext::builder(set)

@@ -32,17 +32,11 @@
 //! below holds one `#[target_feature(enable = "avx2")]` function and
 //! its unaligned loads and stores, all inside the 512-byte chunks of
 //! the slice it is handed. It is reachable only through
-//! [`apply_wide`], which checks `is_x86_feature_detected!("avx2")`
-//! first. See DESIGN.md §14.
+//! [`apply_wide`], which checks [`rlwe_zq::cpu::avx2`] first. See
+//! DESIGN.md §14.
 
 /// Bytes per kernel iteration: eight 64-byte blocks.
 const WIDE: usize = 8 * crate::chacha20::BLOCK_LEN;
-
-/// Whether the running CPU has AVX2. Cached by `std`.
-#[inline]
-fn available() -> bool {
-    std::arch::is_x86_feature_detected!("avx2")
-}
 
 /// XORs the keystream from block `counter` on into the longest prefix
 /// of `data` that is a whole number of 512-byte chunks, and returns
@@ -57,12 +51,12 @@ pub(crate) fn apply_wide(
     data: &mut [u8],
 ) -> usize {
     let wide = data.len() / WIDE * WIDE;
-    if wide == 0 || !available() {
+    if wide == 0 || !rlwe_zq::cpu::avx2() {
         return 0;
     }
-    // SAFETY: `available()` just confirmed AVX2 on this CPU; the kernel
-    // reads and writes only inside `data[..wide]`, a whole number of
-    // 512-byte chunks.
+    // SAFETY: `avx2()` just confirmed AVX2 on this CPU; the kernel reads
+    // and writes only inside `data[..wide]`, a whole number of 512-byte
+    // chunks.
     unsafe { kernel::apply_wide(key, counter, nonce, &mut data[..wide]) };
     wide
 }

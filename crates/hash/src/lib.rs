@@ -7,10 +7,11 @@
 //! hash stack lives here. The implementations follow FIPS 180-4 (SHA-256),
 //! RFC 2104 (HMAC) and ISO 18033-2 (KDF2) and are validated against the
 //! published test vectors. [`ChaCha20Poly1305`] (RFC 8439) is the
-//! session layer's frame AEAD; its ChaCha20 runs eight blocks at a time
-//! on an AVX2 kernel where the CPU has one, and its scalar block
-//! function is the fallback and the test oracle. HMAC stays for the
-//! handshake's key-confirmation tag.
+//! session layer's frame AEAD. Where the CPU has AVX2, its ChaCha20 runs
+//! eight blocks at a time and its Poly1305 four blocks at a time, in
+//! radix-2²⁶ lanes; the scalar block functions are the fallback, the
+//! tail path and the test oracles. HMAC stays for the handshake's
+//! key-confirmation tag.
 //!
 //! # Example
 //!
@@ -26,12 +27,13 @@
 //! ```
 
 // `deny` rather than the workspace `forbid`: the SHA-NI compression
-// backend (src/shani.rs) and the AVX2 ChaCha20 kernel
-// (src/chacha_avx2.rs) need `#[target_feature]` intrinsics, and
-// `forbid` cannot be overridden by a scoped allow. The only `unsafe`
-// in the crate is the two detection-gated `kernel` modules,
-// `shani::kernel` and `chacha_avx2::kernel` (mirroring the rlwe-ntt /
-// rlwe-sampler AVX2 precedent).
+// backend (src/shani.rs) and the AVX2 ChaCha20 and Poly1305 kernels
+// (src/chacha_avx2.rs, src/poly1305_avx2.rs) need `#[target_feature]`
+// intrinsics, and `forbid` cannot be overridden by a scoped allow. The
+// only `unsafe` in the crate is the three detection-gated `kernel`
+// modules, `shani::kernel`, `chacha_avx2::kernel` and
+// `poly1305_avx2::kernel` (mirroring the rlwe-ntt / rlwe-sampler AVX2
+// precedent).
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
@@ -42,6 +44,8 @@ mod chacha_avx2;
 mod hmac;
 mod kdf;
 mod poly1305;
+#[cfg(target_arch = "x86_64")]
+mod poly1305_avx2;
 mod sha256;
 #[cfg(target_arch = "x86_64")]
 mod shani;

@@ -11,6 +11,11 @@
 //! keeps `h2 ≤ 4` and `h < 2·(2¹³⁰ − 5)`, so one conditional
 //! subtraction of the prime fully reduces it at the end.
 //!
+//! On an AVX2 host a run of at least [`MIN_WIDE`] bytes of whole blocks
+//! goes to the 4-lane radix-2²⁶ kernel in `poly1305_avx2.rs` instead;
+//! [`poly1305_blocks`] stays the oracle, the tail path and the path on
+//! other hosts.
+//!
 //! # Constant-time argument
 //!
 //! Every block runs the same multiplies, adds and shifts; the final
@@ -18,7 +23,11 @@
 //! branch. Loop bounds depend only on the (public) message length.
 
 /// Bytes per Poly1305 block.
-const BLOCK: usize = 16;
+pub(crate) const BLOCK: usize = 16;
+
+/// The shortest run of whole blocks [`absorb`] hands to the AVX2
+/// kernel: below it the r-power setup costs more than the kernel saves.
+const MIN_WIDE: usize = 512;
 
 /// The authenticator state for one message: the clamped `r`, the `s`
 /// pad and the accumulator. Erased on drop.
@@ -71,7 +80,7 @@ impl Poly1305 {
     /// terminated with `0x01`.
     pub(crate) fn update_padded(&mut self, data: &[u8]) {
         let whole = data.len() / BLOCK * BLOCK;
-        poly1305_blocks(&mut self.acc, &self.r_key, &data[..whole], 1);
+        absorb(&mut self.acc, &self.r_key, &data[..whole]);
         if whole < data.len() {
             let mut last = [0u8; BLOCK];
             last[..data.len() - whole].copy_from_slice(&data[whole..]);
@@ -122,7 +131,7 @@ impl Poly1305 {
 pub fn poly1305(/* ct: secret */ key: &[u8; 32], msg: &[u8]) -> [u8; 16] {
     let mut p = Poly1305::new(key);
     let whole = msg.len() / BLOCK * BLOCK;
-    poly1305_blocks(&mut p.acc, &p.r_key, &msg[..whole], 1);
+    absorb(&mut p.acc, &p.r_key, &msg[..whole]);
     if whole < msg.len() {
         let mut last = [0u8; BLOCK];
         let rest = msg.len() - whole;
@@ -131,6 +140,42 @@ pub fn poly1305(/* ct: secret */ key: &[u8; 32], msg: &[u8]) -> [u8; 16] {
         poly1305_blocks(&mut p.acc, &p.r_key, &last, 0);
     }
     p.finalize()
+}
+
+/// Absorbs the whole 16-byte blocks of `blocks` into `acc`, each with
+/// the 2¹²⁸ pad bit: the whole 64-byte groups of a run of at least
+/// [`MIN_WIDE`] bytes on the 4-lane AVX2 kernel where the CPU has one,
+/// everything else on [`poly1305_blocks`]. The choice depends only on
+/// the public length and the CPU.
+fn absorb(
+    /* ct: secret */ acc: &mut [u64; 3],
+    /* ct: secret */ r: &[u64; 2],
+    blocks: &[u8],
+) {
+    #[cfg(target_arch = "x86_64")]
+    if blocks.len() >= MIN_WIDE {
+        *acc = absorb_wide(*acc, *r, blocks);
+        return;
+    }
+    poly1305_blocks(acc, r, blocks, 1);
+}
+
+/// [`absorb`]'s path for runs of at least [`MIN_WIDE`] bytes: the
+/// kernel over the whole 64-byte groups, the scalar block function over
+/// the rest. Out of line and by value, so the kernel's setup and stack
+/// frame stay out of the short runs' path (inlined, they slowed a 64 B
+/// [`poly1305`] call by ~15%).
+#[cfg(target_arch = "x86_64")]
+#[inline(never)]
+fn absorb_wide(
+    /* ct: secret */ mut acc: [u64; 3],
+    /* ct: secret */ r: [u64; 2],
+    blocks: &[u8],
+) -> [u64; 3] {
+    let done = crate::poly1305_avx2::blocks_wide(&mut acc, &r, blocks);
+    // ct-allow(`done` is the public length of the whole 64-byte groups, or 0 without AVX2; it does not depend on acc or r)
+    poly1305_blocks(&mut acc, &r, &blocks[done..], 1);
+    acc
 }
 
 /// Absorbs the whole 16-byte blocks of `blocks` into `acc`, each with
@@ -171,10 +216,196 @@ pub(crate) fn poly1305_blocks(
 mod tests {
     use super::*;
     use crate::aead::tests::pattern;
-    use crate::chacha20::tests::unhex;
+    use crate::chacha20::tests::{random_bytes, unhex, xorshift};
 
     fn key(hex: &str) -> [u8; 32] {
         unhex(hex).try_into().expect("32-byte key")
+    }
+
+    /// Absorbs the whole 64-byte groups of `blocks` on the AVX2 kernel,
+    /// whatever their number, and returns the bytes it took: all of
+    /// them on an AVX2 host, none elsewhere.
+    fn wide_prefix(acc: &mut [u64; 3], r: &[u64; 2], blocks: &[u8]) -> usize {
+        #[cfg(target_arch = "x86_64")]
+        {
+            let done = crate::poly1305_avx2::blocks_wide(acc, r, blocks);
+            let groups = blocks.len() / 64 * 64;
+            assert_eq!(done, if rlwe_zq::cpu::avx2() { groups } else { 0 });
+            done
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        {
+            let _ = (acc, r, blocks);
+            0
+        }
+    }
+
+    /// `update_padded` with its whole blocks forced onto the kernel
+    /// (`wide`) or onto the scalar block function.
+    fn update_padded_with(p: &mut Poly1305, data: &[u8], wide: bool) {
+        let whole = data.len() / BLOCK * BLOCK;
+        let done = if wide {
+            wide_prefix(&mut p.acc, &p.r_key, &data[..whole])
+        } else {
+            0
+        };
+        poly1305_blocks(&mut p.acc, &p.r_key, &data[done..whole], 1);
+        if whole < data.len() {
+            let mut last = [0u8; BLOCK];
+            last[..data.len() - whole].copy_from_slice(&data[whole..]);
+            poly1305_blocks(&mut p.acc, &p.r_key, &last, 1);
+        }
+    }
+
+    /// [`poly1305`] with its whole blocks forced onto the kernel
+    /// (`wide`) or onto the scalar block function.
+    fn mac_with(key: &[u8; 32], msg: &[u8], wide: bool) -> [u8; 16] {
+        let mut p = Poly1305::new(key);
+        let whole = msg.len() / BLOCK * BLOCK;
+        let done = if wide {
+            wide_prefix(&mut p.acc, &p.r_key, &msg[..whole])
+        } else {
+            0
+        };
+        poly1305_blocks(&mut p.acc, &p.r_key, &msg[done..whole], 1);
+        if whole < msg.len() {
+            let mut last = [0u8; BLOCK];
+            let rest = msg.len() - whole;
+            last[..rest].copy_from_slice(&msg[whole..]);
+            last[rest] = 1;
+            poly1305_blocks(&mut p.acc, &p.r_key, &last, 0);
+        }
+        p.finalize()
+    }
+
+    /// The lengths the agreement tests cover: every length to 1100,
+    /// 16 KiB, 16 KiB + 17 and 64 KiB.
+    fn agreement_lengths() -> impl Iterator<Item = usize> {
+        (0..=1100).chain([16384, 16401, 65536])
+    }
+
+    /// The value of the accumulator `acc` reduced below `p = 2¹³⁰ − 5`,
+    /// as its low 128 bits and bits 128–129.
+    fn reduced([h0, h1, h2]: [u64; 3]) -> (u128, u64) {
+        let (mut lo, mut hi) = (u128::from(h0) | u128::from(h1) << 64, h2);
+        for _ in 0..3 {
+            // 2¹³⁰ ≡ 5
+            let (sum, c) = lo.overflowing_add(5 * u128::from(hi >> 2));
+            (lo, hi) = (sum, (hi & 3) + u64::from(c));
+        }
+        if hi == 3 && lo >= u128::MAX - 4 {
+            (lo.wrapping_add(5), 0)
+        } else {
+            (lo, hi)
+        }
+    }
+
+    #[test]
+    fn wide_and_scalar_block_functions_agree_from_any_accumulator() {
+        let mut x = 0x9e37_79b9_7f4a_7c15;
+        let buf: Vec<u8> = (0..65536).map(|_| xorshift(&mut x) as u8).collect();
+        for len in agreement_lengths() {
+            let k: [u8; 32] = random_bytes(&mut x);
+            let mut p = Poly1305::new(&k);
+            // A non-zero starting accumulator: two scalar blocks of noise.
+            let noise: [u8; 32] = random_bytes(&mut x);
+            poly1305_blocks(&mut p.acc, &p.r_key, &noise, 1);
+            let blocks = &buf[..len / BLOCK * BLOCK];
+            let mut scalar = p.acc;
+            poly1305_blocks(&mut scalar, &p.r_key, blocks, 1);
+            let mut wide = p.acc;
+            let done = wide_prefix(&mut wide, &p.r_key, blocks);
+            poly1305_blocks(&mut wide, &p.r_key, &blocks[done..], 1);
+            assert!(wide[2] <= 4, "length {len}: {wide:?}");
+            assert_eq!(reduced(wide), reduced(scalar), "length {len}");
+            assert_eq!(
+                mac_with(&k, &buf[..len], true),
+                mac_with(&k, &buf[..len], false),
+                "length {len}"
+            );
+            assert_eq!(
+                poly1305(&k, &buf[..len]),
+                mac_with(&k, &buf[..len], false),
+                "length {len}"
+            );
+        }
+    }
+
+    #[test]
+    fn wide_path_holds_the_lazy_carry_bound_under_all_ones() {
+        // The largest clamped r, s = 2¹²⁸ − 1, all-0xFF blocks and an
+        // accumulator entering with every limb set and the top limb at
+        // the scalar bound 4: every lane's limbs reach their bounds.
+        let k = [0xFFu8; 32];
+        let buf = vec![0xFFu8; 65536];
+        for len in agreement_lengths() {
+            let blocks = &buf[..len / BLOCK * BLOCK];
+            for start in [[0; 3], [u64::MAX, u64::MAX, 4]] {
+                let r = Poly1305::new(&k).r_key;
+                let mut scalar = start;
+                poly1305_blocks(&mut scalar, &r, blocks, 1);
+                let mut wide = start;
+                let done = wide_prefix(&mut wide, &r, blocks);
+                poly1305_blocks(&mut wide, &r, &blocks[done..], 1);
+                assert!(wide[2] <= 4, "length {len}: {wide:?}");
+                assert_eq!(reduced(wide), reduced(scalar), "length {len}");
+            }
+            assert_eq!(
+                mac_with(&k, &buf[..len], true),
+                mac_with(&k, &buf[..len], false),
+                "length {len}"
+            );
+        }
+    }
+
+    #[test]
+    fn wide_result_past_2_pow_128_keeps_its_top_bits() {
+        // r = 1: every power is 1 and the lanes only add. One group,
+        // block 0 = 2¹²⁸ − 1, blocks 1–3 zero, sums to 2¹³⁰ + 2¹²⁸ − 1
+        // with the pad bits, which folds to 2¹²⁸ + 4 with radix-2²⁶
+        // limb 1 at exactly 2²⁶: the only case where the conversion
+        // back to radix 2⁶⁴ carries out of 128 bits.
+        let r = [1, 0];
+        let mut group = [0u8; 64];
+        group[..16].fill(0xFF);
+        let mut scalar = [0; 3];
+        poly1305_blocks(&mut scalar, &r, &group, 1);
+        let mut wide = [0; 3];
+        if wide_prefix(&mut wide, &r, &group) > 0 {
+            assert_eq!(wide, [4, 0, 1]);
+        }
+        assert_eq!(reduced(scalar), (4, 1));
+    }
+
+    #[test]
+    fn aead_shaped_updates_agree_after_every_aad_length() {
+        // The frame layout: `update_padded` over the AAD, then a 16 KiB
+        // body (which the kernel takes from the accumulator the AAD
+        // left), then the lengths block.
+        let mut x = 0x2545_f491_4f6c_dd1d;
+        let aad: [u8; 64] = random_bytes(&mut x);
+        let body: Vec<u8> = (0..16384).map(|_| xorshift(&mut x) as u8).collect();
+        assert!(
+            MIN_WIDE <= body.len(),
+            "the 16 KiB body must reach the kernel"
+        );
+        for aad_len in 0..=64 {
+            let k: [u8; 32] = random_bytes(&mut x);
+            let mut lengths = [0u8; 16];
+            lengths[..8].copy_from_slice(&(aad_len as u64).to_le_bytes());
+            lengths[8..].copy_from_slice(&(body.len() as u64).to_le_bytes());
+            let mut dispatched = Poly1305::new(&k);
+            let mut wide = Poly1305::new(&k);
+            let mut scalar = Poly1305::new(&k);
+            for part in [&aad[..aad_len], &body, &lengths] {
+                dispatched.update_padded(part);
+                update_padded_with(&mut wide, part, true);
+                update_padded_with(&mut scalar, part, false);
+            }
+            let want = scalar.finalize();
+            assert_eq!(wide.finalize(), want, "aad length {aad_len}");
+            assert_eq!(dispatched.finalize(), want, "aad length {aad_len}");
+        }
     }
 
     #[test]
@@ -208,13 +439,19 @@ mod tests {
 
     #[test]
     fn matches_python_cryptography_on_every_pinned_length() {
+        // The dispatched, scalar and wide paths; 512, 513, 16384 and
+        // 16401 bytes reach the kernel through the dispatcher too.
+        const { assert!(MIN_WIDE <= 512) };
         let k: [u8; 32] = pattern(32, 13, 0x21).try_into().unwrap();
         for (len, tag) in PYTHON_VECTORS {
-            assert_eq!(
-                poly1305(&k, &pattern(len, 31, 7)).to_vec(),
-                unhex(tag),
-                "length {len}"
-            );
+            let msg = pattern(len, 31, 7);
+            for got in [
+                poly1305(&k, &msg),
+                mac_with(&k, &msg, false),
+                mac_with(&k, &msg, true),
+            ] {
+                assert_eq!(got.to_vec(), unhex(tag), "length {len}");
+            }
         }
     }
 
@@ -231,11 +468,14 @@ mod tests {
             (64, "900fe32bc15fa8d7bca8efe4c7e37eb1"),
             (1031, "dc336d506a592d000ba7c6d1030ce50a"),
         ] {
-            assert_eq!(
-                poly1305(&k, &vec![0xFF; len]).to_vec(),
-                unhex(tag),
-                "length {len}"
-            );
+            let msg = vec![0xFF; len];
+            for got in [
+                poly1305(&k, &msg),
+                mac_with(&k, &msg, false),
+                mac_with(&k, &msg, true),
+            ] {
+                assert_eq!(got.to_vec(), unhex(tag), "length {len}");
+            }
         }
     }
 

@@ -211,7 +211,7 @@ pub(crate) fn state_bytes(state: &[u32; 8]) -> [u8; 32] {
 /// cross-check test in [`crate::shani`] pin the identity.
 pub(crate) fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
     #[cfg(target_arch = "x86_64")]
-    if crate::shani::available() {
+    if rlwe_zq::cpu::sha_ni() {
         crate::shani::compress(state, block);
         return;
     }

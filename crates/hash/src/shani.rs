@@ -47,21 +47,10 @@
 //! crate is the `kernel` module below — two
 //! `#[target_feature(enable = "sha", ...)]` functions plus unaligned
 //! vector loads/stores on fixed-size stack arrays — reachable only
-//! through safe wrappers gated on `is_x86_feature_detected!`. See
+//! through safe wrappers gated on [`rlwe_zq::cpu::sha_ni`]. See
 //! DESIGN.md §12.
 
 use crate::sha256::compress_scalar;
-
-/// Whether the running CPU has the SHA extensions (plus the SSSE3 /
-/// SSE4.1 shuffles the kernels lean on — in practice always present
-/// alongside SHA-NI). Cached by `std`, so hot paths can call this per
-/// compression.
-#[inline]
-pub(crate) fn available() -> bool {
-    std::arch::is_x86_feature_detected!("sha")
-        && std::arch::is_x86_feature_detected!("ssse3")
-        && std::arch::is_x86_feature_detected!("sse4.1")
-}
 
 /// SHA-NI compression for one 64-byte block.
 ///
@@ -72,10 +61,10 @@ pub(crate) fn available() -> bool {
 // detection-gated kernel call below (see the module-level policy note).
 #[allow(unsafe_code)]
 pub(crate) fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
-    if !available() {
+    if !rlwe_zq::cpu::sha_ni() {
         return compress_scalar(state, block);
     }
-    // SAFETY: `available()` just confirmed SHA + SSSE3 + SSE4.1 on this
+    // SAFETY: `sha_ni()` just confirmed SHA + SSSE3 + SSE4.1 on this
     // CPU; the kernel touches memory only through the two fixed-size
     // references it is handed.
     unsafe { kernel::compress(state, block) }
@@ -92,12 +81,12 @@ pub(crate) fn compress2(
     state_b: &mut [u32; 8],
     block_b: &[u8; 64],
 ) {
-    if !available() {
+    if !rlwe_zq::cpu::sha_ni() {
         compress_scalar(state_a, block_a);
         compress_scalar(state_b, block_b);
         return;
     }
-    // SAFETY: `available()` just confirmed SHA + SSSE3 + SSE4.1 on this
+    // SAFETY: `sha_ni()` just confirmed SHA + SSSE3 + SSE4.1 on this
     // CPU; the kernel touches memory only through the four fixed-size
     // references it is handed.
     unsafe { kernel::compress2(state_a, block_a, state_b, block_b) }
@@ -327,7 +316,7 @@ mod tests {
 
     #[test]
     fn matches_scalar_on_random_blocks() {
-        if !super::available() {
+        if !rlwe_zq::cpu::sha_ni() {
             eprintln!("skipping: host lacks SHA-NI");
             return;
         }
@@ -347,7 +336,7 @@ mod tests {
 
     #[test]
     fn interleaved_pair_matches_two_scalar_compressions() {
-        if !super::available() {
+        if !rlwe_zq::cpu::sha_ni() {
             eprintln!("skipping: host lacks SHA-NI");
             return;
         }

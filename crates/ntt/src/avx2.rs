@@ -25,28 +25,13 @@
 //! the crate is the `kernel` module below — `#[target_feature(enable =
 //! "avx2")]` functions plus raw-pointer vector loads/stores — and it is
 //! reachable only through safe wrappers that verified
-//! `is_x86_feature_detected!("avx2")` at plan-construction time and the
+//! [`rlwe_zq::cpu::avx2`] at plan-construction time and the
 //! slice lengths at the call site. See DESIGN.md §11.
 
 use rlwe_zq::shoup::ShoupPair;
 use rlwe_zq::Reducer;
 
 use crate::plan::NttPlan;
-
-/// Whether the running CPU supports the AVX2 instruction set (always
-/// `false` on non-x86_64 targets). Cached by `std`, so this is cheap to
-/// call on hot paths.
-#[inline]
-pub fn available() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        std::arch::is_x86_feature_detected!("avx2")
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        false
-    }
-}
 
 /// One expanded per-lane twiddle table: `val[i]`/`comp[i]` hold the
 /// Shoup pair the butterfly touching coefficient `i` needs, so an
@@ -100,7 +85,7 @@ impl Avx2Tables {
         psi_bitrev: &[ShoupPair],
         ipsi_bitrev: &[ShoupPair],
     ) -> Option<Self> {
-        if n < 16 || !available() {
+        if n < 16 || !rlwe_zq::cpu::avx2() {
             return None;
         }
         Some(Self {
@@ -468,7 +453,7 @@ impl<R: Reducer> NttPlan<R> {
         #[cfg(target_arch = "x86_64")]
         if let Some(tbl) = self.avx2_tables() {
             assert_eq!(a.len(), self.n(), "polynomial length must equal n");
-            // SAFETY: `tbl` exists only when `is_x86_feature_detected!`
+            // SAFETY: `tbl` exists only when `rlwe_zq::cpu::avx2()`
             // confirmed AVX2 at plan construction on this host, and the
             // assert above pins `a.len()` to the `n` the tables were
             // built for.
@@ -532,7 +517,7 @@ mod tests {
 
     #[test]
     fn avx2_forward_and_inverse_match_the_scalar_reference() {
-        if !available() {
+        if !rlwe_zq::cpu::avx2() {
             eprintln!("note: AVX2 unavailable on this host; fallback paths exercised instead");
         }
         for (n, q) in rings() {
@@ -581,6 +566,6 @@ mod tests {
         let small = NttPlan::new(8, 12289).unwrap();
         assert!(!small.has_avx2(), "n < 16 must not carry AVX2 tables");
         let big = NttPlan::new(256, 7681).unwrap();
-        assert_eq!(big.has_avx2(), available());
+        assert_eq!(big.has_avx2(), rlwe_zq::cpu::avx2());
     }
 }

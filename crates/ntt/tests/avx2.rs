@@ -30,7 +30,7 @@ fn pair_strategy() -> impl Strategy<Value = [Vec<u32>; 2]> {
 /// whether the assertions below exercised the vector kernels or the
 /// scalar fallback.
 fn note_host_capability() {
-    if !rlwe_ntt::avx2::available() {
+    if !rlwe_zq::cpu::avx2() {
         eprintln!("note: host lacks AVX2 — exercising the scalar fallback paths only");
     }
 }

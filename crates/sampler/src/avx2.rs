@@ -32,29 +32,14 @@
 //! `rlwe-ntt` AVX2 precedent): the only `unsafe` in the crate is the
 //! `kernel` module below — one `#[target_feature(enable = "avx2")]`
 //! function plus raw-pointer vector loads/stores — reachable only
-//! through a safe wrapper that checked
-//! `is_x86_feature_detected!("avx2")` and operates on fixed-size stack
+//! through a safe wrapper that checked [`rlwe_zq::cpu::avx2`] and
+//! operates on fixed-size stack
 //! arrays. See DESIGN.md §12.
 
 /// The signed-compare bias: XORing both comparands with this constant
 /// maps unsigned 32-bit order onto signed order, which is the only
 /// 32-bit compare AVX2 offers.
 pub const SIGN_BIAS: u32 = 0x8000_0000;
-
-/// Whether the running CPU supports the AVX2 instruction set (always
-/// `false` on non-x86_64 targets). Cached by `std`, so this is cheap to
-/// call on hot paths.
-#[inline]
-pub fn available() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        std::arch::is_x86_feature_detected!("avx2")
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        false
-    }
-}
 
 /// Splits a 128-bit cumulative-table row into draw-order limbs (limb 0
 /// holds the most significant 32 bits — the first `take_bits(32)` word a
@@ -81,7 +66,7 @@ pub fn bias_limbs(c: u128) -> [u32; 4] {
 #[allow(unsafe_code)]
 pub fn scan8(limbs: &[[u32; 4]], u: &[[u32; 4]; 8]) -> [u32; 8] {
     #[cfg(target_arch = "x86_64")]
-    if available() {
+    if rlwe_zq::cpu::avx2() {
         // Transpose to limb-major and bias: t[l][j] = lane j, limb l.
         let mut t = [[0u32; 8]; 4];
         for (j, lane) in u.iter().enumerate() {
@@ -89,7 +74,7 @@ pub fn scan8(limbs: &[[u32; 4]], u: &[[u32; 4]; 8]) -> [u32; 8] {
                 t[l][j] = limb ^ SIGN_BIAS;
             }
         }
-        // SAFETY: `available()` just confirmed AVX2 on this CPU.
+        // SAFETY: `avx2()` just confirmed AVX2 on this CPU.
         return unsafe { kernel::scan8(limbs, &t) };
     }
     scan8_scalar(limbs, u)
@@ -256,7 +241,7 @@ mod tests {
 
     #[test]
     fn vector_matches_scalar_on_boundary_classes() {
-        if !available() {
+        if !rlwe_zq::cpu::avx2() {
             eprintln!("note: AVX2 unavailable on this host; scan8 already IS scan8_scalar");
         }
         let limbs = table();
@@ -277,7 +262,7 @@ mod tests {
 
     #[test]
     fn vector_matches_scalar_on_random_inputs() {
-        if !available() {
+        if !rlwe_zq::cpu::avx2() {
             eprintln!("note: AVX2 unavailable on this host; scan8 already IS scan8_scalar");
         }
         let limbs = table();

@@ -7,7 +7,6 @@
 //!
 //! - `connections_accepted_total`, `connections_rejected_total{reason}`,
 //!   `connections_active` — front-door accounting.
-//! - `connections_dispatched_total` — connections a worker started on.
 //! - `worker_threads` — live worker threads, parked or serving.
 //! - `requests_total{op}` / `request_ns{op,param_set}` — per-operation
 //!   counts and latency histograms.
@@ -64,7 +63,6 @@ pub struct ServerMetrics {
     http_metrics: Counter,
     http_healthz: Counter,
     http_other: Counter,
-    dispatched: Counter,
     handshakes: Counter,
     handshake_failures: Counter,
     frames_sealed: Counter,
@@ -137,11 +135,6 @@ impl ServerMetrics {
                 "Plaintext HTTP requests served, by path.",
                 &[("path", "other")],
             ),
-            dispatched: reg.counter(
-                "rlwe_server_connections_dispatched_total",
-                "Connections a worker thread started serving.",
-                &[],
-            ),
             handshakes: reg.counter(
                 "rlwe_session_handshakes_total",
                 "Session handshakes by role.",
@@ -186,11 +179,6 @@ impl ServerMetrics {
     /// One refused connection.
     pub fn on_reject(&self, reason: RejectReason) {
         self.rejected(reason).inc();
-    }
-
-    /// A worker started serving a connection.
-    pub fn on_dispatch(&self) {
-        self.dispatched.inc();
     }
 
     /// A worker thread started.
@@ -266,11 +254,6 @@ impl ServerMetrics {
     /// Currently live connections.
     pub fn active_connections(&self) -> i64 {
         self.active.get()
-    }
-
-    /// Connections workers started serving so far.
-    pub fn dispatched_total(&self) -> u64 {
-        self.dispatched.get()
     }
 
     /// Total idle evictions.

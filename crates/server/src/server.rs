@@ -360,7 +360,6 @@ fn spawn_worker(
 /// Serves connections until [`next_conn`] retires the worker.
 fn worker_loop(shared: &Shared, slot: &Arc<Slot>) {
     while let Some(conn) = next_conn(shared, slot) {
-        shared.metrics.on_dispatch();
         serve_conn(shared, conn);
     }
 }

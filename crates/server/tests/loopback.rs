@@ -133,7 +133,7 @@ fn thirty_two_concurrent_clients_with_live_metrics_scrapes() {
     }
     // The contexts behind the server picked their NTT from the host:
     // every KEM latency series carries that one backend label.
-    let backend = if rlwe_ntt::avx2::available() {
+    let backend = if rlwe_zq::cpu::avx2() {
         r#"ntt_backend="avx2""#
     } else {
         r#"ntt_backend="reference""#

@@ -21,6 +21,9 @@
 //! 13/14-bit coefficients fit into one 32-bit processor word, so memory
 //! traffic is halved by loading/storing coefficient *pairs*.
 //!
+//! The [`cpu`] module is the workspace's single CPU-feature detection
+//! point: every runtime-dispatched vector kernel asks it first.
+//!
 //! The [`ct`] module is the workspace's single home for constant-time
 //! primitives (masked compare/select, branchless predicates, best-effort
 //! zeroisation) — every secret-handling crate above routes through it.
@@ -64,6 +67,7 @@ mod modulus;
 mod ops;
 mod primality;
 
+pub mod cpu;
 pub mod ct;
 pub mod lazy;
 pub mod montgomery;

@@ -78,9 +78,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         frames as f64 / dt.as_secs_f64()
     );
     println!(
-        "server: {} accepted, {} dispatched, {} refused at max_conns, {} active now",
+        "server: {} accepted, {} refused at max_conns, {} active now",
         handle.metrics().accepted_total(),
-        handle.metrics().dispatched_total(),
         handle.metrics().rejected_total(RejectReason::MaxConns),
         handle.metrics().active_connections()
     );
