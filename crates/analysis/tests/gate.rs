@@ -87,13 +87,15 @@ fn coefficient_packing_is_linted_as_secret_handling() {
 fn frame_aead_is_linted_as_secret_handling() {
     // The frame AEAD's key, Poly1305 key and accumulator, and the
     // plaintext `open_in_place` writes are annotated secret, so the lint
-    // checks the ChaCha20 block, both Poly1305 block functions (scalar
-    // and the 4-lane AVX2 kernel with its r-power and accumulator
-    // lanes) and the open path directly; the baseline gate keeps them
-    // branch-free.
+    // checks the ChaCha20 block, both flavours of the 8-lane ChaCha20
+    // kernel, both Poly1305 block functions (scalar and the 4-lane AVX2
+    // kernel with its r-power and accumulator lanes) and the open path
+    // directly; the baseline gate keeps them branch-free.
     let ws = rlwe_analysis::load_workspace(&rlwe_analysis::workspace_root());
     for (file, name, params) in [
         ("hash/src/chacha20.rs", "chacha20_block", &["key"][..]),
+        ("hash/src/chacha_avx2.rs", "avx2", &["key"][..]),
+        ("hash/src/chacha_avx2.rs", "avx512vl", &["key"][..]),
         ("hash/src/poly1305.rs", "poly1305_blocks", &["acc", "r"][..]),
         ("hash/src/poly1305.rs", "absorb", &["acc", "r"][..]),
         ("hash/src/poly1305.rs", "absorb_wide", &["acc", "r"][..]),

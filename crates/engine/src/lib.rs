@@ -17,6 +17,8 @@
 //!
 //! The crate records no session metrics of its own; a server counts
 //! what it accepts, seals and opens (`rlwe-server`'s `ServerMetrics`).
+//! [`BuildInfo`] names the kernels a context and the frame AEAD run on
+//! this host, for the `rlwe_build_info` gauge a server exports.
 //!
 //! # Example
 //!
@@ -49,8 +51,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod build_info;
 pub mod pool;
 pub mod session;
 
+pub use build_info::BuildInfo;
 pub use pool::{global as global_pool, ContextPool};
 pub use session::{Role, Session, SessionError, StreamReceiver, StreamSender, FRAME_OVERHEAD};

@@ -654,20 +654,30 @@ mod tests {
 
     #[test]
     fn known_answer_sealed_frame_digest() {
-        let payload: Vec<u8> = (0..100u8).collect();
-        let frame = fixed_sender(3).seal(&payload);
-        let hex: String = Sha256::digest(&frame)
-            .iter()
-            .map(|b| format!("{b:02x}"))
-            .collect();
         // A change here changes every frame on the wire: peers on either
         // side of it no longer interoperate. Python `cryptography`'s
         // ChaCha20Poly1305 over the same KDF2 key, nonce and header gives
-        // the same digest.
-        assert_eq!(
-            hex,
-            "92678dfed9746ea4aee5c1ff9827fadb75aeb7a2000b2dbcc0b60624a053be48"
-        );
+        // the same digests (rlwe-hash's `vectors/chacha20poly1305.py`).
+        // The 100 B frame runs the scalar block functions; the 16 KiB
+        // one runs the host's vector ChaCha20 and Poly1305 kernels.
+        for (len, want) in [
+            (
+                100,
+                "92678dfed9746ea4aee5c1ff9827fadb75aeb7a2000b2dbcc0b60624a053be48",
+            ),
+            (
+                16 * 1024,
+                "219cea5f5adf849eafff7006625c607acb24ad93277a90b8ea98e7fd6f5b9156",
+            ),
+        ] {
+            let payload: Vec<u8> = (0..len).map(|i| i as u8).collect();
+            let frame = fixed_sender(3).seal(&payload);
+            let hex: String = Sha256::digest(&frame)
+                .iter()
+                .map(|b| format!("{b:02x}"))
+                .collect();
+            assert_eq!(hex, want, "{len} B frame");
+        }
     }
 
     #[test]

@@ -4,11 +4,12 @@
 //! [`chacha20_block`] is the portable block function: ten double rounds
 //! of quarter-rounds over the 4×4 word state `constants ‖ key ‖
 //! counter ‖ nonce`, plus the input state. It is the fallback on every
-//! host and the oracle the 8-lane AVX2 kernel (`chacha_avx2`) is tested
-//! against. [`apply_keystream`] dispatches: whole 512-byte chunks go to
-//! the vector kernel when the CPU has AVX2, the rest (and everything on
-//! other hosts) to [`apply_keystream_scalar`]. [`chacha20_xor`] is the
-//! public byte-key form of the dispatched path.
+//! host and the oracle the 8-lane kernel (`chacha_avx2`, in an AVX-512VL
+//! and an AVX2 flavour) is tested against. [`apply_keystream`]
+//! dispatches: whole 512-byte chunks go to the vector kernel when the
+//! CPU has AVX-512VL or AVX2, the rest (and everything on other hosts)
+//! to [`apply_keystream_scalar`]. [`chacha20_xor`] is the public
+//! byte-key form of the dispatched path.
 //!
 //! # Constant-time argument
 //!
@@ -80,9 +81,9 @@ pub(crate) fn chacha20_block(
 }
 
 /// XORs the keystream that starts at block `counter` into `data`
-/// (encryption and decryption are the same operation): the AVX2 kernel
-/// takes the whole 512-byte chunks where the CPU has it, the scalar
-/// block function the rest.
+/// (encryption and decryption are the same operation): the 8-lane
+/// kernel takes the whole 512-byte chunks where the CPU has AVX-512VL or
+/// AVX2, the scalar block function the rest.
 pub(crate) fn apply_keystream(
     /* ct: secret */ key: &[u32; 8],
     counter: u32,

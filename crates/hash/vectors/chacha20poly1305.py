@@ -2,7 +2,9 @@
 """Independent ChaCha20-Poly1305 and Poly1305 vectors for rlwe-hash.
 
 Prints the values pinned in `src/aead.rs` and `src/poly1305.rs` tests,
-computed with the Python `cryptography` package (tested with 48.0).
+and the sealed-frame digests pinned in rlwe-engine's
+`src/session.rs`, computed with the Python `cryptography` package
+(tested with 48.0).
 
     python3 crates/hash/vectors/chacha20poly1305.py
 
@@ -26,6 +28,26 @@ def pattern(n, mul, add):
 def frame_nonce(seq):
     # The session frames' nonce: 0x00000000 || seq as a big-endian u64.
     return b"\x00" * 4 + seq.to_bytes(8, "big")
+
+
+def kdf2(secret, info, n):
+    # ISO 18033-2 KDF2 over SHA-256, as `rlwe_hash::kdf2`.
+    out = b""
+    counter = 1
+    while len(out) < n:
+        out += hashlib.sha256(secret + counter.to_bytes(4, "big") + info).digest()
+        counter += 1
+    return out[:n]
+
+
+def fixed_sender_frame(payload, seq):
+    # rlwe-engine's `fixed_sender(seq).seal(payload)`: the i2r key from
+    # ss = 0x11 * 32 and sid = 0x5A * 16, the header
+    # magic 0xF6 || seq (u64 BE) || len (u32 BE) as the AAD, then
+    # ciphertext and tag.
+    enc = kdf2(b"\x11" * 32, b"rlwe-engine/i2r" + b"\x5a" * 16, 64)[:32]
+    header = b"\xf6" + seq.to_bytes(8, "big") + len(payload).to_bytes(4, "big")
+    return header + ChaCha20Poly1305(enc).encrypt(frame_nonce(seq), payload, header)
 
 
 def main():
@@ -56,6 +78,11 @@ def main():
     ]:
         tag = Poly1305.generate_tag(k, m)
         print(f"# {name}: {tag.hex()}")
+
+    print("# Session frames: sha256(fixed_sender(3).seal(pattern(len, 1, 0)))")
+    for n in [100, 16384]:
+        frame = fixed_sender_frame(pattern(n, 1, 0), 3)
+        print(f"# {n} B frame: {hashlib.sha256(frame).hexdigest()}")
 
 
 if __name__ == "__main__":

@@ -25,6 +25,10 @@
 //!   `rlwe_server_requests_total{op="session_hello"}`.
 //! - `rlwe_session_frames_{sealed,opened,rejected}_total` — frames the
 //!   server sealed, opened, and refused on an established session.
+//!
+//! At start-up the server also exports [`rlwe_engine::BuildInfo`], one
+//! constant series, `rlwe_build_info{...} 1`, whose labels name the
+//! kernels it runs on this host.
 
 use crate::wire::{OpCode, ALL_OPS};
 use rlwe_obs::{Counter, Gauge, Histogram};

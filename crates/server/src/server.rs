@@ -46,7 +46,7 @@ use crate::wire::{
 use crate::ServerError;
 use rlwe_core::drbg::HashDrbg;
 use rlwe_core::{RlweContext, SecretKey};
-use rlwe_engine::{Session, SessionError, StreamReceiver, StreamSender};
+use rlwe_engine::{BuildInfo, Session, SessionError, StreamReceiver, StreamSender};
 use std::io::Read;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -99,6 +99,7 @@ struct Shared {
     sk: SecretKey,
     pool: Mutex<Pool>,
     metrics: ServerMetrics,
+    build_info: BuildInfo,
     shutdown: AtomicBool,
 }
 
@@ -145,6 +146,8 @@ pub fn serve(config: ServerConfig) -> Result<ServerHandle, ServerError> {
     // ct-allow(pk is the public half of the keypair; encoding fails only on a parameter mismatch)
     let pk_bytes = pk.to_bytes()?;
     let metrics = ServerMetrics::new(&ctx.params().obs_label());
+    let build_info = BuildInfo::detect(&ctx);
+    build_info.export();
     let listener = TcpListener::bind(config.addr)?;
     let local_addr = listener.local_addr()?;
 
@@ -154,6 +157,7 @@ pub fn serve(config: ServerConfig) -> Result<ServerHandle, ServerError> {
         sk,
         pool: Mutex::default(),
         metrics,
+        build_info,
         shutdown: AtomicBool::new(false),
         config,
     });
@@ -185,6 +189,11 @@ impl ServerHandle {
     /// instead of scraping).
     pub fn metrics(&self) -> &ServerMetrics {
         &self.shared.metrics
+    }
+
+    /// The kernels this server runs, as exported on `rlwe_build_info`.
+    pub fn build_info(&self) -> &BuildInfo {
+        &self.shared.build_info
     }
 
     /// This server's live worker threads, parked or serving (the

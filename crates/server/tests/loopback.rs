@@ -151,6 +151,37 @@ fn thirty_two_concurrent_clients_with_live_metrics_scrapes() {
 }
 
 // ------------------------------------------------------------------------
+// `rlwe_build_info` names the kernels the server runs: its ChaCha20 label
+// is the tier the CPU flags select (AVX-512VL, else AVX2, else scalar).
+// ------------------------------------------------------------------------
+
+#[test]
+fn build_info_on_metrics_names_the_detected_chacha_tier() {
+    let handle = serve(base_config()).unwrap();
+    let body = String::from_utf8_lossy(&http_get(handle.local_addr(), "/metrics").unwrap().body)
+        .into_owned();
+    let line = body
+        .lines()
+        .find(|l| l.starts_with("rlwe_build_info{"))
+        .unwrap_or_else(|| panic!("no rlwe_build_info series in:\n{body}"));
+    let tier = if rlwe_zq::cpu::avx512vl() {
+        "avx512vl"
+    } else if rlwe_zq::cpu::avx2() {
+        "avx2"
+    } else {
+        "scalar"
+    };
+    assert!(
+        line.contains(&format!(r#"chacha_backend="{tier}""#)),
+        "expected the {tier} ChaCha20 kernel on {line}"
+    );
+    let features = format!(r#"cpu_features="{}""#, rlwe_zq::cpu::features());
+    assert!(line.contains(&features), "expected {features} on {line}");
+    assert_eq!(line, handle.build_info().to_string());
+    handle.shutdown();
+}
+
+// ------------------------------------------------------------------------
 // `max_conns` is the one front-door bound: one connection past it gets a
 // typed Busy frame and is closed, and the freed slot serves again.
 // ------------------------------------------------------------------------

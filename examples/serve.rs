@@ -29,6 +29,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "rlwe-server listening on {} (protocol + GET /metrics, GET /healthz)",
         handle.local_addr()
     );
+    eprintln!("{}", handle.build_info());
 
     if smoke {
         return smoke_test(handle);
@@ -59,6 +60,7 @@ fn smoke_test(handle: rlwe_suite::server::ServerHandle) -> Result<(), Box<dyn st
     assert_eq!(scrape.status, 200);
     let body = String::from_utf8_lossy(&scrape.body);
     assert!(body.contains("rlwe_server_connections_accepted_total"));
+    assert!(body.contains(&handle.build_info().to_string()));
     eprintln!("smoke: /metrics ok ({} bytes)", scrape.body.len());
 
     let health = http_get(addr, "/healthz")?;
