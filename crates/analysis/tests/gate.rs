@@ -87,15 +87,16 @@ fn coefficient_packing_is_linted_as_secret_handling() {
 fn frame_aead_is_linted_as_secret_handling() {
     // The frame AEAD's key, Poly1305 key and accumulator, and the
     // plaintext `open_in_place` writes are annotated secret, so the lint
-    // checks the ChaCha20 block, both flavours of the 8-lane ChaCha20
-    // kernel, both Poly1305 block functions (scalar and the 4-lane AVX2
-    // kernel with its r-power and accumulator lanes) and the open path
-    // directly; the baseline gate keeps them branch-free.
+    // checks the ChaCha20 block, both ChaCha20 kernel flavours (16-lane
+    // AVX-512F, 8-lane AVX2), every Poly1305 block function (scalar, the
+    // 8-lane IFMA and 4-lane AVX2 kernels with their r-power and
+    // accumulator lanes) and the open path directly; the baseline gate
+    // keeps them branch-free.
     let ws = rlwe_analysis::load_workspace(&rlwe_analysis::workspace_root());
     for (file, name, params) in [
         ("hash/src/chacha20.rs", "chacha20_block", &["key"][..]),
         ("hash/src/chacha_avx2.rs", "avx2", &["key"][..]),
-        ("hash/src/chacha_avx2.rs", "avx512vl", &["key"][..]),
+        ("hash/src/chacha_avx2.rs", "avx512f", &["key"][..]),
         ("hash/src/poly1305.rs", "poly1305_blocks", &["acc", "r"][..]),
         ("hash/src/poly1305.rs", "absorb", &["acc", "r"][..]),
         ("hash/src/poly1305.rs", "absorb_wide", &["acc", "r"][..]),
@@ -106,6 +107,17 @@ fn frame_aead_is_linted_as_secret_handling() {
         ),
         ("hash/src/poly1305_avx2.rs", "blocks", &["acc", "r"][..]),
         ("hash/src/poly1305_avx2.rs", "step", &["h", "m", "r"][..]),
+        ("hash/src/poly1305.rs", "poly1305_wide", &["key"][..]),
+        ("hash/src/poly1305.rs", "mac", &["key"][..]),
+        (
+            "hash/src/poly1305_ifma.rs",
+            "blocks_wide",
+            &["acc", "r"][..],
+        ),
+        ("hash/src/poly1305_ifma.rs", "blocks", &["acc", "r"][..]),
+        ("hash/src/poly1305_ifma.rs", "product", &["h", "r"][..]),
+        ("hash/src/poly1305_ifma.rs", "carry", &["d"][..]),
+        ("hash/src/poly1305_ifma.rs", "mul_radix44", &["a", "b"][..]),
         ("hash/src/aead.rs", "open_in_place", &["data"][..]),
     ] {
         let f = ws
@@ -120,7 +132,15 @@ fn frame_aead_is_linted_as_secret_handling() {
             );
         }
     }
-    for field in ["cipher_key", "r_key", "s_key", "acc", "r_lanes", "r5_lanes"] {
+    for field in [
+        "cipher_key",
+        "r_key",
+        "s_key",
+        "acc",
+        "r_lanes",
+        "r5_lanes",
+        "r20_lanes",
+    ] {
         assert!(
             ws.secret_fields.contains(field),
             "`{field}` must carry `// ct: secret`"

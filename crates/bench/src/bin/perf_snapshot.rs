@@ -21,11 +21,11 @@
 //!
 //! ```text
 //! cargo run --release -p rlwe-bench --bin perf_snapshot            # print only
-//! cargo run --release -p rlwe-bench --bin perf_snapshot -- --json  # + BENCH_25.json
+//! cargo run --release -p rlwe-bench --bin perf_snapshot -- --json  # + BENCH_26.json
 //! cargo run --release -p rlwe-bench --bin perf_snapshot -- --smoke # CI: few reps
 //! ```
 //!
-//! `--json [PATH]` defaults to `BENCH_25.json` in the working directory;
+//! `--json [PATH]` defaults to `BENCH_26.json` in the working directory;
 //! `--smoke` cuts repetition counts ~100× so CI can exercise the binary in
 //! seconds (the numbers are then smoke-quality — trend data comes from
 //! full runs).
@@ -37,7 +37,7 @@ use rlwe_bench::snapshot::{Snapshot, SnapshotEntry};
 
 /// The PR this snapshot belongs to — bump once per PR; it names the
 /// default `--json` output file and is recorded inside the document.
-const PR: u32 = 25;
+const PR: u32 = 26;
 use rlwe_core::drbg::HashDrbg;
 use rlwe_core::{Ciphertext, ParamSet, PublicKey, RlweContext};
 use rlwe_engine::Session;

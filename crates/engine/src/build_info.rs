@@ -11,9 +11,11 @@ use std::fmt;
 /// [`rlwe_zq::cpu`] through the same checks the kernels dispatch on.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BuildInfo {
-    /// ChaCha20's 8-lane kernel: `avx512vl`, `avx2` or `scalar`.
+    /// ChaCha20's vector kernel: `avx512f` (16 lanes on zmm), `avx2`
+    /// (8 lanes on ymm) or `scalar`.
     pub chacha_backend: &'static str,
-    /// Poly1305's 4-lane kernel: `avx2` or `scalar`.
+    /// Poly1305's vector kernel: `avx512ifma` (8 lanes of radix 2⁴⁴),
+    /// `avx2` (4 lanes of radix 2²⁶) or `scalar`.
     pub poly1305_backend: &'static str,
     /// The context's NTT: `avx2` or `reference`.
     pub ntt_backend: &'static str,
@@ -21,7 +23,8 @@ pub struct BuildInfo {
     pub sampler: String,
     /// The SHA-256 compression: `sha_ni` or `scalar`.
     pub sha_backend: &'static str,
-    /// The detected CPU features, e.g. `avx2+avx512vl+sha_ni`, or `none`.
+    /// The detected CPU features, e.g. `avx2+avx512f+avx512ifma+sha_ni`,
+    /// or `none`.
     pub cpu_features: String,
 }
 

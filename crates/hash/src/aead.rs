@@ -190,7 +190,7 @@ only one tip for the future, sunscreen would be it."
     /// Python `cryptography` 48's `ChaCha20Poly1305` on the frame nonce
     /// layout, from `vectors/chacha20poly1305.py`: `(length,
     /// SHA-256 of the ciphertext, tag)`.
-    const PYTHON_VECTORS: [(usize, &str, &str); 13] = [
+    const PYTHON_VECTORS: [(usize, &str, &str); 22] = [
         (
             0,
             "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
@@ -232,6 +232,21 @@ only one tip for the future, sunscreen would be it."
             "52f5bf76696e0d5368591e6c3941df39",
         ),
         (
+            127,
+            "9a60be6005f013b25a2b246a5104b7be4157b851a6f81d231248a665872396bc",
+            "56bdd21a268a9515bd7292589ace04c7",
+        ),
+        (
+            128,
+            "43e25937c9de975769532723fa9ef6e3f9059ff859157752fce34ad05734c81f",
+            "e9b01b5bacd70675858d1a71276b88d0",
+        ),
+        (
+            129,
+            "9cbbdbd443cff63c1e3069f84a7882e85599580e4f4a07be8ad34c148dbe0614",
+            "e0a3a4e2c2dfed46294c6f2e5148c061",
+        ),
+        (
             511,
             "2c5244194b293feeb31f009b2ea8e2c25c2804d10b077573d0e0c2cd281dec3e",
             "39be3121559a1a65be09e023b29ab427",
@@ -245,6 +260,36 @@ only one tip for the future, sunscreen would be it."
             513,
             "9812f3d9e1a0001a33a3150a71bb46b206bf70dd0a1c6c166a5cc3adf7468dbb",
             "261e7f5e02703fb6b6115bb3a00e456d",
+        ),
+        (
+            1023,
+            "6b36140b32eb439e8bf8180c40296ec3f8a0caa791daa3ca618bae5240eb9b9e",
+            "77712280b6bc529d7315fee12fa58e9f",
+        ),
+        (
+            1024,
+            "63e9760da01f4121185f306d128867c6e65da959933d309638cdd6b5d57db5d9",
+            "6a2066d872f5e459442e8a4831f8f65f",
+        ),
+        (
+            1025,
+            "d528dd709d6254e412cd9f8c080cf09386936fae624d88cd5cd6cbbf37f29f88",
+            "597b635b2dc2c4aacde407485e3a74f9",
+        ),
+        (
+            2047,
+            "08751f3731430d6b6437c3e75b64b23e9c222edd330ee835b97754387e1b46b1",
+            "83bc818d53b430b38775f86c7b9194fe",
+        ),
+        (
+            2048,
+            "e7a5036e08c4d9870a00c9a06be48c71718503cb36406055d8b62599bfa2660b",
+            "f315d334c830ad2bd9333cd862ad159c",
+        ),
+        (
+            2049,
+            "cc6d571ca09b88eeaade56cb151f80204dfe97585899418401b07fd7ad656a95",
+            "8d1bcad6ecf90043c0f01474a2f8308c",
         ),
         (
             16384,

@@ -4,11 +4,11 @@
 //! [`chacha20_block`] is the portable block function: ten double rounds
 //! of quarter-rounds over the 4×4 word state `constants ‖ key ‖
 //! counter ‖ nonce`, plus the input state. It is the fallback on every
-//! host and the oracle the 8-lane kernel (`chacha_avx2`, in an AVX-512VL
-//! and an AVX2 flavour) is tested against. [`apply_keystream`]
-//! dispatches: whole 512-byte chunks go to the vector kernel when the
-//! CPU has AVX-512VL or AVX2, the rest (and everything on other hosts)
-//! to [`apply_keystream_scalar`]. [`chacha20_xor`] is the public
+//! host and the oracle the vector kernels (`chacha_avx2`, a 16-lane
+//! AVX-512F flavour and an 8-lane AVX2 one) are tested against.
+//! [`apply_keystream`] dispatches: whole 512-byte chunks go to a vector
+//! kernel when the CPU has AVX-512F or AVX2, the rest (and everything on
+//! other hosts) to [`apply_keystream_scalar`]. [`chacha20_xor`] is the public
 //! byte-key form of the dispatched path.
 //!
 //! # Constant-time argument
@@ -81,9 +81,9 @@ pub(crate) fn chacha20_block(
 }
 
 /// XORs the keystream that starts at block `counter` into `data`
-/// (encryption and decryption are the same operation): the 8-lane
-/// kernel takes the whole 512-byte chunks where the CPU has AVX-512VL or
-/// AVX2, the scalar block function the rest.
+/// (encryption and decryption are the same operation): a vector kernel
+/// takes the whole 512-byte chunks where the CPU has AVX-512F or AVX2,
+/// the scalar block function the rest.
 pub(crate) fn apply_keystream(
     /* ct: secret */ key: &[u32; 8],
     counter: u32,
@@ -194,7 +194,7 @@ only one tip for the future, sunscreen would be it."
     #[test]
     fn dispatched_and_scalar_paths_agree_on_every_length() {
         let mut seed = 0x0123_4567_89ab_cdefu64;
-        let lengths = (0..=1100).chain([16 * 1024 + 17]);
+        let lengths = (0..=2200).chain([16 * 1024 + 17]);
         for len in lengths {
             let key = key_words(&random_bytes::<32>(&mut seed));
             let nonce = nonce_words(&random_bytes::<12>(&mut seed));

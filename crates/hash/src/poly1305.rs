@@ -11,10 +11,11 @@
 //! keeps `h2 ≤ 4` and `h < 2·(2¹³⁰ − 5)`, so one conditional
 //! subtraction of the prime fully reduces it at the end.
 //!
-//! On an AVX2 host a run of at least [`MIN_WIDE`] bytes of whole blocks
-//! goes to the 4-lane radix-2²⁶ kernel in `poly1305_avx2.rs` instead;
-//! [`poly1305_blocks`] stays the oracle, the tail path and the path on
-//! other hosts.
+//! A run of at least [`MIN_WIDE`] bytes of whole blocks goes to a vector
+//! [`Kernel`] instead where the CPU has one: the 8-lane radix-2⁴⁴ AVX-512
+//! IFMA kernel in `poly1305_ifma.rs`, else the 4-lane radix-2²⁶ AVX2
+//! kernel in `poly1305_avx2.rs`. [`poly1305_blocks`] stays the oracle,
+//! the tail path and the path on other hosts.
 //!
 //! # Constant-time argument
 //!
@@ -25,9 +26,66 @@
 /// Bytes per Poly1305 block.
 pub(crate) const BLOCK: usize = 16;
 
-/// The shortest run of whole blocks [`absorb`] hands to the AVX2
+/// The shortest run of whole blocks [`absorb`] hands to a vector
 /// kernel: below it the r-power setup costs more than the kernel saves.
 const MIN_WIDE: usize = 512;
+
+/// A vector kernel for runs of whole blocks.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Kernel {
+    /// 8 lanes of radix-2⁴⁴ limbs, `vpmadd52{l,h}uq` on zmm.
+    Avx512Ifma,
+    /// 4 lanes of radix-2²⁶ limbs, `vpmuludq` on ymm.
+    Avx2,
+}
+
+impl Kernel {
+    /// Every kernel, in the order [`Kernel::detect`] prefers them.
+    pub(crate) const ALL: [Kernel; 2] = [Kernel::Avx512Ifma, Kernel::Avx2];
+
+    /// Whether the running CPU can execute this kernel.
+    pub(crate) fn supported(self) -> bool {
+        match self {
+            Kernel::Avx512Ifma => rlwe_zq::cpu::avx512ifma(),
+            Kernel::Avx2 => rlwe_zq::cpu::avx2(),
+        }
+    }
+
+    /// The kernel [`absorb`] runs on this CPU, if any.
+    pub(crate) fn detect() -> Option<Kernel> {
+        Kernel::ALL.into_iter().find(|k| k.supported())
+    }
+
+    /// Stable metric-label name of the kernel.
+    pub(crate) fn label(self) -> &'static str {
+        match self {
+            Kernel::Avx512Ifma => "avx512ifma",
+            Kernel::Avx2 => "avx2",
+        }
+    }
+
+    /// Absorbs the longest prefix of `blocks` that is a whole number of
+    /// the kernel's groups (128 bytes for IFMA, 64 for AVX2) into `acc`,
+    /// every block with the 2¹²⁸ pad bit, and returns its length: 0, with
+    /// `acc` untouched, where the CPU cannot run the kernel.
+    pub(crate) fn absorb_prefix(
+        self,
+        /* ct: secret */ acc: &mut [u64; 3],
+        /* ct: secret */ r: &[u64; 2],
+        blocks: &[u8],
+    ) -> usize {
+        #[cfg(target_arch = "x86_64")]
+        match self {
+            Kernel::Avx512Ifma => crate::poly1305_ifma::blocks_wide(acc, r, blocks),
+            Kernel::Avx2 => crate::poly1305_avx2::blocks_wide(acc, r, blocks),
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        {
+            let _ = (acc, r, blocks);
+            0
+        }
+    }
+}
 
 /// The authenticator state for one message: the clamped `r`, the `s`
 /// pad and the accumulator. Erased on drop.
@@ -129,9 +187,36 @@ impl Poly1305 {
 /// assert_eq!(tag[..4], [0xa8, 0x06, 0x1d, 0xc1]);
 /// ```
 pub fn poly1305(/* ct: secret */ key: &[u8; 32], msg: &[u8]) -> [u8; 16] {
+    // Decided on the public length up front, so a short message's
+    // accumulator stays in registers from the first block to the tag.
+    if msg.len() >= MIN_WIDE {
+        poly1305_wide(key, msg)
+    } else {
+        mac(key, msg, |acc, r, blocks| {
+            poly1305_blocks(acc, r, blocks, 1)
+        })
+    }
+}
+
+/// [`poly1305`] of a message of at least [`MIN_WIDE`] bytes, its whole
+/// blocks through [`absorb`]. Out of line, so the vector kernels' setup
+/// and stack frame stay out of the short messages' path.
+#[inline(never)]
+fn poly1305_wide(/* ct: secret */ key: &[u8; 32], msg: &[u8]) -> [u8; 16] {
+    mac(key, msg, absorb)
+}
+
+/// Poly1305 of `msg`, its whole blocks absorbed by `whole_blocks` and a
+/// short final block terminated with `0x01`.
+#[inline(always)]
+fn mac(
+    /* ct: secret */ key: &[u8; 32],
+    msg: &[u8],
+    whole_blocks: impl Fn(&mut [u64; 3], &[u64; 2], &[u8]),
+) -> [u8; 16] {
     let mut p = Poly1305::new(key);
     let whole = msg.len() / BLOCK * BLOCK;
-    absorb(&mut p.acc, &p.r_key, &msg[..whole]);
+    whole_blocks(&mut p.acc, &p.r_key, &msg[..whole]);
     if whole < msg.len() {
         let mut last = [0u8; BLOCK];
         let rest = msg.len() - whole;
@@ -143,16 +228,14 @@ pub fn poly1305(/* ct: secret */ key: &[u8; 32], msg: &[u8]) -> [u8; 16] {
 }
 
 /// Absorbs the whole 16-byte blocks of `blocks` into `acc`, each with
-/// the 2¹²⁸ pad bit: the whole 64-byte groups of a run of at least
-/// [`MIN_WIDE`] bytes on the 4-lane AVX2 kernel where the CPU has one,
-/// everything else on [`poly1305_blocks`]. The choice depends only on
-/// the public length and the CPU.
+/// the 2¹²⁸ pad bit: a run of at least [`MIN_WIDE`] bytes through
+/// [`absorb_wide`], everything else on [`poly1305_blocks`]. The choice
+/// depends only on the public length and the CPU.
 fn absorb(
     /* ct: secret */ acc: &mut [u64; 3],
     /* ct: secret */ r: &[u64; 2],
     blocks: &[u8],
 ) {
-    #[cfg(target_arch = "x86_64")]
     if blocks.len() >= MIN_WIDE {
         *acc = absorb_wide(*acc, *r, blocks);
         return;
@@ -161,19 +244,20 @@ fn absorb(
 }
 
 /// [`absorb`]'s path for runs of at least [`MIN_WIDE`] bytes: the
-/// kernel over the whole 64-byte groups, the scalar block function over
-/// the rest. Out of line and by value, so the kernel's setup and stack
-/// frame stay out of the short runs' path (inlined, they slowed a 64 B
-/// [`poly1305`] call by ~15%).
-#[cfg(target_arch = "x86_64")]
+/// detected [`Kernel`] over its whole groups, the scalar block function
+/// over the rest. Out of line and by value, so the kernel's setup and
+/// stack frame stay out of the short runs' path.
 #[inline(never)]
 fn absorb_wide(
     /* ct: secret */ mut acc: [u64; 3],
     /* ct: secret */ r: [u64; 2],
     blocks: &[u8],
 ) -> [u64; 3] {
-    let done = crate::poly1305_avx2::blocks_wide(&mut acc, &r, blocks);
-    // ct-allow(`done` is the public length of the whole 64-byte groups, or 0 without AVX2; it does not depend on acc or r)
+    let done = match Kernel::detect() {
+        Some(kernel) => kernel.absorb_prefix(&mut acc, &r, blocks),
+        None => 0,
+    };
+    // ct-allow(`done` is the public length of the kernel's whole groups, or 0 without one; it does not depend on acc or r)
     poly1305_blocks(&mut acc, &r, &blocks[done..], 1);
     acc
 }
@@ -222,33 +306,49 @@ mod tests {
         unhex(hex).try_into().expect("32-byte key")
     }
 
-    /// Absorbs the whole 64-byte groups of `blocks` on the AVX2 kernel,
-    /// whatever their number, and returns the bytes it took: all of
-    /// them on an AVX2 host, none elsewhere.
-    fn wide_prefix(acc: &mut [u64; 3], r: &[u64; 2], blocks: &[u8]) -> usize {
-        #[cfg(target_arch = "x86_64")]
-        {
-            let done = crate::poly1305_avx2::blocks_wide(acc, r, blocks);
-            let groups = blocks.len() / 64 * 64;
-            assert_eq!(done, if rlwe_zq::cpu::avx2() { groups } else { 0 });
-            done
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        {
-            let _ = (acc, r, blocks);
-            0
+    /// Bytes per group of `kernel`: one block per lane.
+    fn group(kernel: Kernel) -> usize {
+        match kernel {
+            Kernel::Avx512Ifma => 128,
+            Kernel::Avx2 => 64,
         }
     }
 
-    /// `update_padded` with its whole blocks forced onto the kernel
-    /// (`wide`) or onto the scalar block function.
-    fn update_padded_with(p: &mut Poly1305, data: &[u8], wide: bool) {
+    /// Every kernel this CPU runs, each seen to run (it took a whole
+    /// group), and exactly the ones the [`rlwe_zq::cpu`] flags promise:
+    /// a mis-wired `supported()` cannot drop a kernel out of the
+    /// agreement tests unnoticed.
+    fn kernels_that_run() -> Vec<Kernel> {
+        let ran: Vec<Kernel> = Kernel::ALL
+            .into_iter()
+            .filter(|&k| k.absorb_prefix(&mut [0; 3], &[1, 0], &[0u8; 128]) == 128)
+            .collect();
+        let promised: Vec<Kernel> = [
+            (Kernel::Avx512Ifma, rlwe_zq::cpu::avx512ifma()),
+            (Kernel::Avx2, rlwe_zq::cpu::avx2()),
+        ]
+        .into_iter()
+        .filter_map(|(k, present)| present.then_some(k))
+        .collect();
+        assert_eq!(ran, promised);
+        assert_eq!(Kernel::detect(), ran.first().copied());
+        eprintln!("Poly1305 kernels run on this host: {ran:?}");
+        ran
+    }
+
+    /// Absorbs the whole groups of `blocks` on `kernel`, whatever their
+    /// number, and returns the bytes it took.
+    fn wide_prefix(kernel: Kernel, acc: &mut [u64; 3], r: &[u64; 2], blocks: &[u8]) -> usize {
+        let done = kernel.absorb_prefix(acc, r, blocks);
+        assert_eq!(done, blocks.len() / group(kernel) * group(kernel));
+        done
+    }
+
+    /// `update_padded` with its whole blocks forced onto `kernel`, or
+    /// onto the scalar block function.
+    fn update_padded_with(p: &mut Poly1305, data: &[u8], kernel: Option<Kernel>) {
         let whole = data.len() / BLOCK * BLOCK;
-        let done = if wide {
-            wide_prefix(&mut p.acc, &p.r_key, &data[..whole])
-        } else {
-            0
-        };
+        let done = kernel.map_or(0, |k| wide_prefix(k, &mut p.acc, &p.r_key, &data[..whole]));
         poly1305_blocks(&mut p.acc, &p.r_key, &data[done..whole], 1);
         if whole < data.len() {
             let mut last = [0u8; BLOCK];
@@ -257,29 +357,27 @@ mod tests {
         }
     }
 
-    /// [`poly1305`] with its whole blocks forced onto the kernel
-    /// (`wide`) or onto the scalar block function.
-    fn mac_with(key: &[u8; 32], msg: &[u8], wide: bool) -> [u8; 16] {
-        let mut p = Poly1305::new(key);
-        let whole = msg.len() / BLOCK * BLOCK;
-        let done = if wide {
-            wide_prefix(&mut p.acc, &p.r_key, &msg[..whole])
-        } else {
-            0
-        };
-        poly1305_blocks(&mut p.acc, &p.r_key, &msg[done..whole], 1);
-        if whole < msg.len() {
-            let mut last = [0u8; BLOCK];
-            let rest = msg.len() - whole;
-            last[..rest].copy_from_slice(&msg[whole..]);
-            last[rest] = 1;
-            poly1305_blocks(&mut p.acc, &p.r_key, &last, 0);
-        }
-        p.finalize()
+    /// [`poly1305`] with its whole blocks forced onto `kernel`, or onto
+    /// the scalar block function.
+    fn mac_with(key: &[u8; 32], msg: &[u8], kernel: Option<Kernel>) -> [u8; 16] {
+        mac(key, msg, |acc, r, blocks| {
+            let done = kernel.map_or(0, |k| wide_prefix(k, acc, r, blocks));
+            poly1305_blocks(acc, r, &blocks[done..], 1);
+        })
     }
 
-    /// The lengths the agreement tests cover: every length to 1100,
-    /// 16 KiB, 16 KiB + 17 and 64 KiB.
+    /// [`poly1305`] on the dispatched path, the scalar path and each of
+    /// `kernels`.
+    fn every_path(key: &[u8; 32], msg: &[u8], kernels: &[Kernel]) -> Vec<[u8; 16]> {
+        let forced = std::iter::once(None).chain(kernels.iter().copied().map(Some));
+        std::iter::once(poly1305(key, msg))
+            .chain(forced.map(|k| mac_with(key, msg, k)))
+            .collect()
+    }
+
+    /// The lengths the agreement tests cover: every length to 1100 (two
+    /// 256-byte IFMA steps, a lone group and the final group, with every
+    /// tail), 16 KiB, 16 KiB + 17 and 64 KiB.
     fn agreement_lengths() -> impl Iterator<Item = usize> {
         (0..=1100).chain([16384, 16401, 65536])
     }
@@ -304,6 +402,7 @@ mod tests {
     fn wide_and_scalar_block_functions_agree_from_any_accumulator() {
         let mut x = 0x9e37_79b9_7f4a_7c15;
         let buf: Vec<u8> = (0..65536).map(|_| xorshift(&mut x) as u8).collect();
+        let kernels = kernels_that_run();
         for len in agreement_lengths() {
             let k: [u8; 32] = random_bytes(&mut x);
             let mut p = Poly1305::new(&k);
@@ -313,21 +412,17 @@ mod tests {
             let blocks = &buf[..len / BLOCK * BLOCK];
             let mut scalar = p.acc;
             poly1305_blocks(&mut scalar, &p.r_key, blocks, 1);
-            let mut wide = p.acc;
-            let done = wide_prefix(&mut wide, &p.r_key, blocks);
-            poly1305_blocks(&mut wide, &p.r_key, &blocks[done..], 1);
-            assert!(wide[2] <= 4, "length {len}: {wide:?}");
-            assert_eq!(reduced(wide), reduced(scalar), "length {len}");
-            assert_eq!(
-                mac_with(&k, &buf[..len], true),
-                mac_with(&k, &buf[..len], false),
-                "length {len}"
-            );
-            assert_eq!(
-                poly1305(&k, &buf[..len]),
-                mac_with(&k, &buf[..len], false),
-                "length {len}"
-            );
+            for &kernel in &kernels {
+                let mut wide = p.acc;
+                let done = wide_prefix(kernel, &mut wide, &p.r_key, blocks);
+                poly1305_blocks(&mut wide, &p.r_key, &blocks[done..], 1);
+                assert!(wide[2] <= 4, "{kernel:?}, length {len}: {wide:?}");
+                assert_eq!(reduced(wide), reduced(scalar), "{kernel:?}, length {len}");
+            }
+            let want = mac_with(&k, &buf[..len], None);
+            for got in every_path(&k, &buf[..len], &kernels) {
+                assert_eq!(got, want, "length {len}");
+            }
         }
     }
 
@@ -338,43 +433,50 @@ mod tests {
         // the scalar bound 4: every lane's limbs reach their bounds.
         let k = [0xFFu8; 32];
         let buf = vec![0xFFu8; 65536];
+        let kernels = kernels_that_run();
         for len in agreement_lengths() {
             let blocks = &buf[..len / BLOCK * BLOCK];
             for start in [[0; 3], [u64::MAX, u64::MAX, 4]] {
                 let r = Poly1305::new(&k).r_key;
                 let mut scalar = start;
                 poly1305_blocks(&mut scalar, &r, blocks, 1);
-                let mut wide = start;
-                let done = wide_prefix(&mut wide, &r, blocks);
-                poly1305_blocks(&mut wide, &r, &blocks[done..], 1);
-                assert!(wide[2] <= 4, "length {len}: {wide:?}");
-                assert_eq!(reduced(wide), reduced(scalar), "length {len}");
+                for &kernel in &kernels {
+                    let mut wide = start;
+                    let done = wide_prefix(kernel, &mut wide, &r, blocks);
+                    poly1305_blocks(&mut wide, &r, &blocks[done..], 1);
+                    assert!(wide[2] <= 4, "{kernel:?}, length {len}: {wide:?}");
+                    assert_eq!(reduced(wide), reduced(scalar), "{kernel:?}, length {len}");
+                }
             }
-            assert_eq!(
-                mac_with(&k, &buf[..len], true),
-                mac_with(&k, &buf[..len], false),
-                "length {len}"
-            );
+            let want = mac_with(&k, &buf[..len], None);
+            for got in every_path(&k, &buf[..len], &kernels) {
+                assert_eq!(got, want, "length {len}");
+            }
         }
     }
 
     #[test]
     fn wide_result_past_2_pow_128_keeps_its_top_bits() {
-        // r = 1: every power is 1 and the lanes only add. One group,
-        // block 0 = 2¹²⁸ − 1, blocks 1–3 zero, sums to 2¹³⁰ + 2¹²⁸ − 1
-        // with the pad bits, which folds to 2¹²⁸ + 4 with radix-2²⁶
-        // limb 1 at exactly 2²⁶: the only case where the conversion
-        // back to radix 2⁶⁴ carries out of 128 bits.
+        // r = 1: every power is 1 and the lanes only add. One group of n
+        // blocks, block 0 = 2¹²⁸ − 1 and the rest zero, sums to
+        // (n + 1)·2¹²⁸ − 1 with the pad bits, which folds to
+        // 2¹²⁸ + 5n/4 − 1: 2¹²⁸ + 4 for AVX2 (n = 4), 2¹²⁸ + 9 for IFMA
+        // (n = 8). Its limb 1 is then exactly 2²⁶ (AVX2) or 2⁴⁴ (IFMA):
+        // the only case where the conversion back to radix 2⁶⁴ carries
+        // out of 128 bits.
         let r = [1, 0];
-        let mut group = [0u8; 64];
-        group[..16].fill(0xFF);
-        let mut scalar = [0; 3];
-        poly1305_blocks(&mut scalar, &r, &group, 1);
-        let mut wide = [0; 3];
-        if wide_prefix(&mut wide, &r, &group) > 0 {
-            assert_eq!(wide, [4, 0, 1]);
+        for kernel in kernels_that_run() {
+            let n = group(kernel) / BLOCK;
+            let low = 5 * n as u64 / 4 - 1;
+            let mut group = vec![0u8; n * BLOCK];
+            group[..16].fill(0xFF);
+            let mut scalar = [0; 3];
+            poly1305_blocks(&mut scalar, &r, &group, 1);
+            let mut wide = [0; 3];
+            wide_prefix(kernel, &mut wide, &r, &group);
+            assert_eq!(wide, [low, 0, 1], "{kernel:?}");
+            assert_eq!(reduced(scalar), (low.into(), 1));
         }
-        assert_eq!(reduced(scalar), (4, 1));
     }
 
     #[test]
@@ -389,22 +491,27 @@ mod tests {
             MIN_WIDE <= body.len(),
             "the 16 KiB body must reach the kernel"
         );
+        let kernels = kernels_that_run();
         for aad_len in 0..=64 {
             let k: [u8; 32] = random_bytes(&mut x);
             let mut lengths = [0u8; 16];
             lengths[..8].copy_from_slice(&(aad_len as u64).to_le_bytes());
             lengths[8..].copy_from_slice(&(body.len() as u64).to_le_bytes());
-            let mut dispatched = Poly1305::new(&k);
-            let mut wide = Poly1305::new(&k);
             let mut scalar = Poly1305::new(&k);
+            let mut dispatched = Poly1305::new(&k);
             for part in [&aad[..aad_len], &body, &lengths] {
+                update_padded_with(&mut scalar, part, None);
                 dispatched.update_padded(part);
-                update_padded_with(&mut wide, part, true);
-                update_padded_with(&mut scalar, part, false);
             }
             let want = scalar.finalize();
-            assert_eq!(wide.finalize(), want, "aad length {aad_len}");
             assert_eq!(dispatched.finalize(), want, "aad length {aad_len}");
+            for &kernel in &kernels {
+                let mut wide = Poly1305::new(&k);
+                for part in [&aad[..aad_len], &body, &lengths] {
+                    update_padded_with(&mut wide, part, Some(kernel));
+                }
+                assert_eq!(wide.finalize(), want, "{kernel:?}, aad length {aad_len}");
+            }
         }
     }
 
@@ -421,7 +528,7 @@ mod tests {
     /// Python `cryptography` 48's `Poly1305`, from
     /// `vectors/chacha20poly1305.py`: `(length, tag)` for key
     /// `pattern(32, 13, 0x21)` over `pattern(length, 31, 7)`.
-    const PYTHON_VECTORS: [(usize, &str); 13] = [
+    const PYTHON_VECTORS: [(usize, &str); 22] = [
         (0, "f1fe0b1825323f4c596673808d9aa7b4"),
         (1, "dd62d88c7936ad121e0c8328b2e158ae"),
         (15, "26e4abd3e4697c59a201d97eb490836a"),
@@ -430,26 +537,32 @@ mod tests {
         (63, "0d17ca5fe38a89e4df9a6770ea39b2ad"),
         (64, "9352ca6f3a993864097cb93ee6edb23e"),
         (65, "0e484ea05019f060bd6cdb0e14136cf9"),
+        (127, "de1b0f3f0219e311000992e5aa6e975e"),
+        (128, "fad87c0c9f58af0d1fcbb0f34bb314ae"),
+        (129, "56fefec20bdc4f360a1745e7c6bdee9a"),
         (511, "9f696f1a9bc6c1649bcd17d2bf4d999b"),
         (512, "8f23026daca35368cfcd9c6016711d6e"),
         (513, "3b0f2943c7a3dc0e5f5e35f096d8bf5d"),
+        (1023, "e67f55999577b5f82d78fb82825427b0"),
+        (1024, "d639e8eba65447fc61788011d977ab82"),
+        (1025, "9073df1d32ff8ce984ead39f9da57ad7"),
+        (2047, "56016a3b5e3ef54680b9020c512ec099"),
+        (2048, "4bbbfc8d6f1b874ab4b9879aa751446c"),
+        (2049, "2e6db8573bc0cbdd17887ed47e27e135"),
         (16384, "25cf551977d55f0f8c3ff29e574d3691"),
         (16401, "c364146ba5e03d6a757b267e3c6e548b"),
     ];
 
     #[test]
     fn matches_python_cryptography_on_every_pinned_length() {
-        // The dispatched, scalar and wide paths; 512, 513, 16384 and
-        // 16401 bytes reach the kernel through the dispatcher too.
+        // The dispatched, scalar and every kernel's path; the lengths
+        // from 512 up reach a kernel through the dispatcher too.
         const { assert!(MIN_WIDE <= 512) };
         let k: [u8; 32] = pattern(32, 13, 0x21).try_into().unwrap();
+        let kernels = kernels_that_run();
         for (len, tag) in PYTHON_VECTORS {
             let msg = pattern(len, 31, 7);
-            for got in [
-                poly1305(&k, &msg),
-                mac_with(&k, &msg, false),
-                mac_with(&k, &msg, true),
-            ] {
+            for got in every_path(&k, &msg, &kernels) {
                 assert_eq!(got.to_vec(), unhex(tag), "length {len}");
             }
         }
@@ -463,17 +576,14 @@ mod tests {
         let k = [0xFFu8; 32];
         let p = Poly1305::new(&k);
         assert_eq!(p.r_key, [0x0fff_fffc_0fff_ffff, 0x0fff_fffc_0fff_fffc]);
+        let kernels = kernels_that_run();
         for (len, tag) in [
             (16, "fbffff17faffff17faffff17faffff17"),
             (64, "900fe32bc15fa8d7bca8efe4c7e37eb1"),
             (1031, "dc336d506a592d000ba7c6d1030ce50a"),
         ] {
             let msg = vec![0xFF; len];
-            for got in [
-                poly1305(&k, &msg),
-                mac_with(&k, &msg, false),
-                mac_with(&k, &msg, true),
-            ] {
+            for got in every_path(&k, &msg, &kernels) {
                 assert_eq!(got.to_vec(), unhex(tag), "length {len}");
             }
         }

@@ -43,10 +43,11 @@
 //!
 //! `rlwe-hash` carries a scoped exception to the workspace-wide
 //! `unsafe_code = "forbid"` (crate-level `deny`, following the
-//! `rlwe-ntt`/`rlwe-sampler` AVX2 precedent): the only `unsafe` in the
-//! crate is the `kernel` module below — two
+//! `rlwe-ntt`/`rlwe-sampler` AVX2 precedent). The `kernel` module below
+//! is the first of its four detection-gated `kernel` modules (the
+//! crate root lists the others, the ChaCha20 and Poly1305 kernels): two
 //! `#[target_feature(enable = "sha", ...)]` functions plus unaligned
-//! vector loads/stores on fixed-size stack arrays — reachable only
+//! vector loads/stores on fixed-size stack arrays, reachable only
 //! through safe wrappers gated on [`rlwe_zq::cpu::sha_ni`]. See
 //! DESIGN.md §12.
 

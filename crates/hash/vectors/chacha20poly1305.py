@@ -18,7 +18,10 @@ import hashlib
 from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
 from cryptography.hazmat.primitives.poly1305 import Poly1305
 
-LENGTHS = [0, 1, 15, 16, 17, 63, 64, 65, 511, 512, 513, 16384, 16401]
+LENGTHS = [
+    0, 1, 15, 16, 17, 63, 64, 65, 127, 128, 129, 511, 512, 513,
+    1023, 1024, 1025, 2047, 2048, 2049, 16384, 16401,
+]
 
 
 def pattern(n, mul, add):

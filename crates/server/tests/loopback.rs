@@ -151,8 +151,9 @@ fn thirty_two_concurrent_clients_with_live_metrics_scrapes() {
 }
 
 // ------------------------------------------------------------------------
-// `rlwe_build_info` names the kernels the server runs: its ChaCha20 label
-// is the tier the CPU flags select (AVX-512VL, else AVX2, else scalar).
+// `rlwe_build_info` names the kernels the server runs: its ChaCha20 and
+// Poly1305 labels are the tiers the CPU flags select (AVX-512F, else
+// AVX2, else scalar; AVX-512 IFMA, else AVX2, else scalar).
 // ------------------------------------------------------------------------
 
 #[test]
@@ -164,16 +165,24 @@ fn build_info_on_metrics_names_the_detected_chacha_tier() {
         .lines()
         .find(|l| l.starts_with("rlwe_build_info{"))
         .unwrap_or_else(|| panic!("no rlwe_build_info series in:\n{body}"));
-    let tier = if rlwe_zq::cpu::avx512vl() {
-        "avx512vl"
-    } else if rlwe_zq::cpu::avx2() {
-        "avx2"
-    } else {
-        "scalar"
+    let tier = |wide: bool, name: &'static str| -> &'static str {
+        if wide {
+            name
+        } else if rlwe_zq::cpu::avx2() {
+            "avx2"
+        } else {
+            "scalar"
+        }
     };
+    let chacha = tier(rlwe_zq::cpu::avx512f(), "avx512f");
     assert!(
-        line.contains(&format!(r#"chacha_backend="{tier}""#)),
-        "expected the {tier} ChaCha20 kernel on {line}"
+        line.contains(&format!(r#"chacha_backend="{chacha}""#)),
+        "expected the {chacha} ChaCha20 kernel on {line}"
+    );
+    let poly1305 = tier(rlwe_zq::cpu::avx512ifma(), "avx512ifma");
+    assert!(
+        line.contains(&format!(r#"poly1305_backend="{poly1305}""#)),
+        "expected the {poly1305} Poly1305 kernel on {line}"
     );
     let features = format!(r#"cpu_features="{}""#, rlwe_zq::cpu::features());
     assert!(line.contains(&features), "expected {features} on {line}");
