@@ -167,6 +167,52 @@ fn frame_aead_is_linted_as_secret_handling() {
 }
 
 #[test]
+fn drbg_refill_is_linted_as_secret_handling() {
+    // The DRBG's key and its buffered keystream carry `// ct: secret`, so
+    // the lint checks every use of them, the refill that produces the
+    // keystream above all; the baseline gate keeps them branch- and
+    // index-free.
+    let ws = rlwe_analysis::load_workspace(&rlwe_analysis::workspace_root());
+    for field in ["key", "keystream"] {
+        assert!(
+            ws.secret_fields.contains(field),
+            "`HashDrbg::{field}` must carry `// ct: secret`"
+        );
+    }
+    assert!(
+        rlwe_analysis::taint::SECRET_OWNERS.contains(&"HashDrbg"),
+        "the DRBG's `self` must stay secret material"
+    );
+    // A refill that branches on the key or indexes by the keystream is
+    // what the annotations expose.
+    let path = rlwe_analysis::workspace_root().join("crates/core/src/drbg.rs");
+    let src = std::fs::read_to_string(&path).expect("drbg.rs readable");
+    let anchor = "        self.block += REFILL_BLOCKS;\n";
+    assert!(src.contains(anchor), "drbg.rs's refill advances `block`");
+    for (mutant, rule) in [
+        ("if self.key[0] == 0 { self.block += 1; }", Rule::CtBranch),
+        (
+            "self.used = usize::from(self.keystream[usize::from(self.keystream[0])]);",
+            Rule::CtIndex,
+        ),
+    ] {
+        let mutated = src.replacen(anchor, &format!("{anchor}        {mutant}\n"), 1);
+        let findings = rlwe_analysis::analyze(&rlwe_analysis::load_sources(vec![(
+            "rlwe-core".into(),
+            "crates/core/src/drbg.rs".into(),
+            mutated,
+        )]))
+        .findings;
+        assert!(
+            findings
+                .iter()
+                .any(|f| f.rule == rule && f.function.ends_with("refill")),
+            "`{mutant}` in the refill is not reported: {findings:?}"
+        );
+    }
+}
+
+#[test]
 fn the_servers_static_key_is_tracked_through_serve() {
     // `serve` derives the long-term keypair from the seed's DRBG and
     // hands it to the acceptor through `Shared`; the acceptor passes it

@@ -17,15 +17,19 @@
 //! session handshake's two halves. The frame arms time one P1 session's
 //! symmetric layer at 64 B and 16 KiB: the ChaCha20 keystream alone
 //! (`frame_chacha20_*`), Poly1305 alone (`frame_poly1305_*`), and whole
-//! `seal`/`open` calls (`session_seal_*`, `session_open_*`).
+//! `seal`/`open` calls (`session_seal_*`, `session_open_*`). The DRBG
+//! arms time the coin source error sampling draws from: one P2 CT-CDT
+//! encapsulation's worth of bytes from a fresh `HashDrbg`
+//! (`drbg_fill_24k`), and a P2 encrypt on the CT-CDT rung
+//! (`encrypt_ct_p2`), which draws them.
 //!
 //! ```text
 //! cargo run --release -p rlwe-bench --bin perf_snapshot            # print only
-//! cargo run --release -p rlwe-bench --bin perf_snapshot -- --json  # + BENCH_26.json
+//! cargo run --release -p rlwe-bench --bin perf_snapshot -- --json  # + BENCH_27.json
 //! cargo run --release -p rlwe-bench --bin perf_snapshot -- --smoke # CI: few reps
 //! ```
 //!
-//! `--json [PATH]` defaults to `BENCH_26.json` in the working directory;
+//! `--json [PATH]` defaults to `BENCH_27.json` in the working directory;
 //! `--smoke` cuts repetition counts ~100× so CI can exercise the binary in
 //! seconds (the numbers are then smoke-quality — trend data comes from
 //! full runs).
@@ -37,9 +41,10 @@ use rlwe_bench::snapshot::{Snapshot, SnapshotEntry};
 
 /// The PR this snapshot belongs to — bump once per PR; it names the
 /// default `--json` output file and is recorded inside the document.
-const PR: u32 = 26;
+const PR: u32 = 27;
+use rand::RngCore;
 use rlwe_core::drbg::HashDrbg;
-use rlwe_core::{Ciphertext, ParamSet, PublicKey, RlweContext};
+use rlwe_core::{Ciphertext, ParamSet, PublicKey, RlweContext, SamplerKind};
 use rlwe_engine::Session;
 use rlwe_hash::{chacha20_xor, poly1305};
 use rlwe_ntt::NttPlan;
@@ -363,6 +368,41 @@ fn bench_frames(snap: &mut Snapshot, small_reps: u32, bulk_reps: u32) {
     }
 }
 
+/// Bytes one P2 encapsulation draws from its DRBG on the CT-CDT rung:
+/// 3 × 512 samples of 129 bits, 31 bits per word, in 16-word blocks
+/// (25,600 B), plus the 64-byte random message.
+const CT_P2_DRBG_BYTES: usize = 25_664;
+
+/// DRBG arms: `CT_P2_DRBG_BYTES` from a fresh `HashDrbg` (a new
+/// generator per call, as each encapsulation makes), and a P2 encrypt on
+/// the CT-CDT rung with `HashDrbg` coins.
+fn bench_drbg(snap: &mut Snapshot, scheme_reps: u32) {
+    let mut out = vec![0u8; CT_P2_DRBG_BYTES];
+    let fill = time_ns(
+        || HashDrbg::new(black_box([5u8; 32])).fill_bytes(black_box(&mut out)),
+        scheme_reps * 4,
+    );
+    snap.push(SnapshotEntry::ns("drbg_fill_24k", fill));
+
+    let ctx = RlweContext::builder(ParamSet::P2)
+        .sampler(SamplerKind::CtCdt)
+        .build()
+        .expect("named set");
+    let mut rng = HashDrbg::new([7u8; 32]);
+    let (pk, _) = ctx.generate_keypair(&mut rng).expect("keygen");
+    let msg = vec![0xA5u8; ctx.params().message_bytes()];
+    let mut scratch = ctx.new_scratch();
+    let mut ct = ctx.empty_ciphertext();
+    let enc = time_ns(
+        || {
+            ctx.encrypt_into(&pk, &msg, &mut rng, &mut ct, &mut scratch)
+                .expect("encrypt");
+        },
+        scheme_reps,
+    );
+    snap.push(SnapshotEntry::ns("encrypt_ct_p2", enc));
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let smoke = args.iter().any(|a| a == "--smoke");
@@ -442,6 +482,9 @@ fn main() {
         kernels.chacha20, kernels.poly1305
     );
     bench_frames(&mut snap, ntt_reps, scheme_reps * 4);
+
+    // --- DRBG: the coin source, alone and under a CT-CDT encrypt ---------
+    bench_drbg(&mut snap, scheme_reps);
 
     for e in snap.entries() {
         println!("{:<34}{:>14.1}{:>16.0}", e.name, e.ns_per_op, e.ops_per_sec);

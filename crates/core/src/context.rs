@@ -40,9 +40,9 @@ impl<R: RngCore + ?Sized> WordSource for RngWords<'_, R> {
     }
 
     /// Bulk override feeding `BufferedBitSource::buffered`'s block
-    /// refill: one `fill_bytes` per 16-word chunk (64 bytes — two
-    /// SHA-256 DRBG output blocks), byte-stream identical to repeated
-    /// `next_u32` calls.
+    /// refill: one `fill_bytes` per 16-word chunk, byte-stream identical
+    /// to repeated `next_u32` calls. The staging bytes are coins, so
+    /// they are erased before returning.
     fn fill_words(&mut self, out: &mut [u32]) {
         let mut buf = [0u8; 64];
         for chunk in out.chunks_mut(16) {
@@ -52,6 +52,7 @@ impl<R: RngCore + ?Sized> WordSource for RngWords<'_, R> {
                 *w = u32::from_le_bytes(b.try_into().expect("4-byte chunk"));
             }
         }
+        rlwe_zq::ct::zeroize(&mut buf);
     }
 }
 

@@ -1,19 +1,41 @@
-//! A deterministic random-bit generator expanded from a 32-byte seed with
-//! SHA-256 in counter mode.
+//! A deterministic random-bit generator: the ChaCha20 keystream of a
+//! 32-byte seed.
 //!
 //! Originally private to the FO transform ([`crate::fo`]), promoted to a
 //! public module as a seed-deterministic coin source: a caller derives
 //! one independent stream per request or handshake attempt from a
 //! master seed (see [`HashDrbg::for_stream`]), so output is reproducible
 //! and testable regardless of which thread runs it.
+//!
+//! The generator runs on the frame AEAD's ChaCha20 ([`chacha20_xor`]),
+//! so error sampling, which is DRBG-bound, takes its coins from the
+//! same AVX-512F/AVX2 kernels as the session frames (DESIGN.md §12).
 
 use rand::{CryptoRng, Error as RandError, RngCore};
-use rlwe_hash::Sha256;
+use rlwe_hash::{chacha20_xor, Sha256};
 
 /// Domain-separation prefix for [`HashDrbg::for_stream`] derivation.
 const DS_STREAM: &[u8] = b"rlwe-drbg/stream";
 
-/// A deterministic RNG: `block_i = SHA-256(seed ‖ i)` for i = 0, 1, ….
+/// First four nonce bytes of every DRBG keystream. The frame AEAD's
+/// nonces start with four zero bytes, so the two uses of ChaCha20 never
+/// share a nonce even under the same key.
+const NONCE_TAG: [u8; 4] = *b"drbg";
+
+/// Keystream bytes per refill: sixteen ChaCha20 blocks, one iteration
+/// of the 16-lane AVX-512F kernel (two of the 8-lane AVX2 one).
+const BUF_LEN: usize = 1024;
+
+/// ChaCha20 blocks per refill. A power of two, so it divides 2³²: a
+/// refill starts at a multiple of it and never crosses a multiple of
+/// 2³², where the 32-bit block counter wraps and the nonce moves on.
+const REFILL_BLOCKS: u64 = (BUF_LEN / 64) as u64;
+
+/// A deterministic RNG: the ChaCha20 keystream under key `seed`, where
+/// keystream block `i` (a 64-bit index) is ChaCha20 block `i mod 2³²`
+/// under the nonce `"drbg" ‖ ⌊i / 2³²⌋` (the high half as a
+/// little-endian `u64`). No two blocks share a (counter, nonce) pair,
+/// so the stream never repeats.
 ///
 /// # Example
 ///
@@ -26,14 +48,13 @@ const DS_STREAM: &[u8] = b"rlwe-drbg/stream";
 /// assert_eq!(a.next_u64(), b.next_u64());
 /// ```
 pub struct HashDrbg {
-    seed: [u8; 32],
-    counter: u64,
-    /// Two buffered counter blocks: `SHA-256(seed ‖ c) ‖ SHA-256(seed ‖ c+1)`.
-    /// Refilling in pairs lets the hash layer interleave the two
-    /// independent compressions (`Sha256::digest_one_block_pair`), which
-    /// hides the SHA round-function latency on SHA-NI hosts. The output
-    /// byte stream is unchanged — still block `i` after block `i-1`.
-    buffer: [u8; 64],
+    // ct: secret
+    key: [u8; 32],
+    /// Index of the next keystream block to generate.
+    block: u64,
+    /// Keystream blocks `block - REFILL_BLOCKS ..`, served from `used` on.
+    // ct: secret
+    keystream: [u8; BUF_LEN],
     used: usize,
 }
 
@@ -41,10 +62,10 @@ impl HashDrbg {
     /// A generator expanding `seed`.
     pub fn new(seed: [u8; 32]) -> Self {
         Self {
-            seed,
-            counter: 0,
-            buffer: [0; 64],
-            used: 64, // force a refill on first use
+            key: seed,
+            block: 0,
+            keystream: [0; BUF_LEN],
+            used: BUF_LEN, // force a refill on first use
         }
     }
 
@@ -62,26 +83,16 @@ impl HashDrbg {
         Self::new(h.finalize())
     }
 
+    /// Generates the next [`REFILL_BLOCKS`] keystream blocks. `block` is
+    /// a multiple of [`REFILL_BLOCKS`], so its low half does not wrap
+    /// inside the call.
     fn refill(&mut self) {
-        // `seed ‖ counter` is 40 bytes — one padded compression block —
-        // and a refill runs once per 64 output bytes, so digest the two
-        // counter blocks through the paired one-block fast path (bit-
-        // and probe-identical to the streaming hasher; on SHA-NI hosts
-        // the two hardware compressions interleave). Error sampling is
-        // DRBG-bound, so this is the encrypt hot path in disguise: see
-        // DESIGN.md §12.
-        let mut msg_a = [0u8; 40];
-        msg_a[..32].copy_from_slice(&self.seed); // panic-allow(constant split of [u8; 40])
-        msg_a[32..].copy_from_slice(&self.counter.to_le_bytes()); // panic-allow(constant split of [u8; 40])
-        let mut msg_b = msg_a;
-        msg_b[32..].copy_from_slice(&(self.counter + 1).to_le_bytes()); // panic-allow(constant split of [u8; 40])
-        let (a, b) = Sha256::digest_one_block_pair(&msg_a, &msg_b);
-        // panic-allow(constant split of the [u8; 64] buffer)
-        self.buffer[..32].copy_from_slice(&a);
-        self.buffer[32..].copy_from_slice(&b); // panic-allow(constant split of the [u8; 64] buffer)
-        rlwe_zq::ct::zeroize(&mut msg_a);
-        rlwe_zq::ct::zeroize(&mut msg_b);
-        self.counter += 2;
+        let mut nonce = [0u8; 12];
+        nonce[..4].copy_from_slice(&NONCE_TAG); // panic-allow(constant split of [u8; 12])
+        nonce[4..].copy_from_slice(&(self.block >> 32).to_le_bytes()); // panic-allow(constant split of [u8; 12])
+        self.keystream.fill(0);
+        chacha20_xor(&self.key, &nonce, self.block as u32, &mut self.keystream);
+        self.block += REFILL_BLOCKS;
         self.used = 0;
     }
 }
@@ -100,19 +111,17 @@ impl RngCore for HashDrbg {
     }
 
     fn fill_bytes(&mut self, dest: &mut [u8]) {
-        // Slice-copy per buffered block pair instead of byte-at-a-time:
-        // the same byte stream (pinned by
-        // `byte_granularity_matches_bulk_fill` below), one bounds check
-        // per 64 buffered bytes. This is the scalar half of the
-        // bulk-refill path — `fill_words` batches on top.
+        // One slice copy per buffered run: the byte stream does not
+        // depend on how a caller splits its requests (pinned by
+        // `byte_granularity_matches_bulk_fill` below).
         let mut filled = 0;
         while filled < dest.len() {
-            if self.used == 64 {
+            if self.used == BUF_LEN {
                 self.refill();
             }
-            let n = (dest.len() - filled).min(64 - self.used);
-            // panic-allow(n = min(dest.len()-filled, 64-used) bounds both ranges)
-            dest[filled..filled + n].copy_from_slice(&self.buffer[self.used..self.used + n]);
+            let n = (dest.len() - filled).min(BUF_LEN - self.used);
+            // panic-allow(n = min(dest.len()-filled, BUF_LEN-used) bounds both ranges)
+            dest[filled..filled + n].copy_from_slice(&self.keystream[self.used..self.used + n]);
             self.used += n;
             filled += n;
         }
@@ -127,19 +136,19 @@ impl RngCore for HashDrbg {
 // The DRBG is used with secret seeds (FO coins, server key seeds).
 impl CryptoRng for HashDrbg {}
 
-// Both the seed and the buffered output block are key material.
+// Both the key and the buffered keystream are key material.
 impl Drop for HashDrbg {
     fn drop(&mut self) {
-        rlwe_zq::ct::zeroize(&mut self.seed);
-        rlwe_zq::ct::zeroize(&mut self.buffer);
+        rlwe_zq::ct::zeroize(&mut self.key);
+        rlwe_zq::ct::zeroize(&mut self.keystream);
     }
 }
 
 impl std::fmt::Debug for HashDrbg {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("HashDrbg")
-            .field("seed", &"<redacted>")
-            .field("counter", &self.counter)
+            .field("key", &"<redacted>")
+            .field("block", &self.block)
             .finish()
     }
 }
@@ -147,6 +156,10 @@ impl std::fmt::Debug for HashDrbg {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn hex(b: &[u8]) -> String {
+        b.iter().map(|x| format!("{x:02x}")).collect()
+    }
 
     #[test]
     fn same_seed_same_stream() {
@@ -173,18 +186,67 @@ mod tests {
 
     #[test]
     fn byte_granularity_matches_bulk_fill() {
+        // Well past one refill, so single-byte draws cross the buffer
+        // boundary.
+        let len = 2 * BUF_LEN + 100;
         let mut a = HashDrbg::new([9u8; 32]);
         let mut b = HashDrbg::new([9u8; 32]);
-        let mut bulk = [0u8; 64];
+        let mut bulk = vec![0u8; len];
         a.fill_bytes(&mut bulk);
-        let singles: Vec<u8> = (0..64)
+        let singles: Vec<u8> = (0..len)
             .map(|_| {
                 let mut one = [0u8];
                 b.fill_bytes(&mut one);
                 one[0]
             })
             .collect();
-        assert_eq!(bulk.to_vec(), singles);
+        assert_eq!(bulk, singles);
+    }
+
+    // The three values below are printed by
+    // `crates/hash/vectors/chacha20poly1305.py`, which computes the
+    // keystream with Python's `cryptography` package.
+
+    #[test]
+    fn matches_the_python_keystream() {
+        let mut drbg = HashDrbg::new([0x42; 32]);
+        let mut out = vec![0u8; 2200];
+        drbg.fill_bytes(&mut out);
+        assert_eq!(
+            hex(&Sha256::digest(&out)),
+            "ef4aad90f19a4b7542e942d3c7b89ce79f1cdda32b4f5d15d92469c9d0bf5f9b"
+        );
+    }
+
+    #[test]
+    fn stream_derivation_matches_python() {
+        let mut drbg = HashDrbg::for_stream(&[7; 32], 3);
+        let mut out = [0u8; 64];
+        drbg.fill_bytes(&mut out);
+        assert_eq!(
+            hex(&out),
+            "0c5e8b7be55f34fa0903f9d7cbc461da20644cead5032851d57f4e18e288c336\
+             f1f056fc126c2effd585b97f2674b63b1f9bead7411babf51c5988f04647c7c2"
+        );
+    }
+
+    #[test]
+    fn keystream_crosses_block_index_two_to_the_32() {
+        // The last block of the refill below 2³² and the first above it:
+        // the counter wraps to 0 and the nonce's high half becomes 1.
+        let mut drbg = HashDrbg::new([0x42; 32]);
+        drbg.block = (1 << 32) - REFILL_BLOCKS;
+        let mut skip = [0u8; BUF_LEN - 64];
+        drbg.fill_bytes(&mut skip);
+        let mut out = [0u8; 128];
+        drbg.fill_bytes(&mut out);
+        assert_eq!(
+            hex(&out),
+            "e6880cb90f8fafe2b283f1127079c05de6cded4726521c28d34ff85998242cc2\
+             ec2bb9fe4a0d396ea26fafb9ea75cccd035e5afc6557d15bd06b59c77ebcce48\
+             803ad8849bbcb1c77baf134f151e7a1ca37a2652605fe7bb038eb9ab928d3127\
+             d3fc4cce6e2f373e084cfef6fdea3598313f6ea64c8d5424942fe8b47ab566ae"
+        );
     }
 
     #[test]

@@ -101,7 +101,8 @@ pub(crate) fn apply_keystream(
 /// ChaCha20 encryption (RFC 8439 §2.4): XORs the keystream of `key` and
 /// `nonce` from block `counter` on into `data`; decryption is the same
 /// call. This is a bare stream cipher with no integrity; sessions use it
-/// only inside [`ChaCha20Poly1305`](crate::ChaCha20Poly1305).
+/// only inside [`ChaCha20Poly1305`](crate::ChaCha20Poly1305), and
+/// `rlwe-core`'s DRBG XORs it into zeroed buffers to make coins.
 pub fn chacha20_xor(
     /* ct: secret */ key: &[u8; 32],
     nonce: &[u8; 12],

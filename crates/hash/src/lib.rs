@@ -7,7 +7,8 @@
 //! hash stack lives here. The implementations follow FIPS 180-4 (SHA-256),
 //! RFC 2104 (HMAC) and ISO 18033-2 (KDF2) and are validated against the
 //! published test vectors. [`ChaCha20Poly1305`] (RFC 8439) is the
-//! session layer's frame AEAD. Where the CPU has AVX-512F, its ChaCha20
+//! session layer's frame AEAD, and its ChaCha20 ([`chacha20_xor`]) is
+//! also `rlwe-core`'s DRBG. Where the CPU has AVX-512F, its ChaCha20
 //! runs sixteen blocks at a time on zmm registers, else eight at a time
 //! on AVX2; its Poly1305 runs eight blocks at a time in radix-2⁴⁴ lanes
 //! where the CPU has AVX-512 IFMA, else four at a time in radix-2²⁶

@@ -82,50 +82,6 @@ impl Sha256 {
         h.finalize()
     }
 
-    /// One-shot digest of a message short enough to fit a single padded
-    /// compression block (at most 55 bytes).
-    ///
-    /// Bit-identical to [`Sha256::digest`] on the same input and
-    /// recorded identically by the [`probe`](crate::probe). The fast
-    /// path exists for callers that digest millions of short
-    /// fixed-shape messages — the counter-mode DRBG in `rlwe-core`
-    /// hashes `seed ‖ counter` (40 bytes) for every 32 output bytes —
-    /// and skips the streaming hasher's buffer management, double-width
-    /// padding scratch and state struct entirely: one stack block, one
-    /// compression.
-    pub fn digest_one_block(msg: &[u8]) -> [u8; 32] {
-        crate::probe::record(msg.len() as u64);
-        let mut block = pad_one_block(msg);
-        let mut state = H0;
-        compress(&mut state, &block);
-        // The message may be key material (DRBG seed); erase our copy.
-        rlwe_zq::ct::zeroize(&mut block);
-        state_bytes(&state)
-    }
-
-    /// One-shot digests of **two** messages, each short enough to fit a
-    /// single padded compression block (at most 55 bytes).
-    ///
-    /// Equivalent to two [`Sha256::digest_one_block`] calls — same
-    /// digests, same probe records, in order — but on SHA-NI hosts the
-    /// two (independent) compressions run with interleaved instruction
-    /// streams, so the second block hides in the first block's round
-    /// latency. The counter-mode DRBG in `rlwe-core` refills its output
-    /// buffer two counter blocks at a time through this path.
-    pub fn digest_one_block_pair(msg_a: &[u8], msg_b: &[u8]) -> ([u8; 32], [u8; 32]) {
-        crate::probe::record(msg_a.len() as u64);
-        crate::probe::record(msg_b.len() as u64);
-        let mut block_a = pad_one_block(msg_a);
-        let mut block_b = pad_one_block(msg_b);
-        let mut state_a = H0;
-        let mut state_b = H0;
-        compress_pair(&mut state_a, &block_a, &mut state_b, &block_b);
-        // The messages may be key material (DRBG seeds); erase our copies.
-        rlwe_zq::ct::zeroize(&mut block_a);
-        rlwe_zq::ct::zeroize(&mut block_b);
-        (state_bytes(&state_a), state_bytes(&state_b))
-    }
-
     /// Feeds more input.
     pub fn update(&mut self, data: &[u8]) {
         self.length += data.len() as u64;
@@ -178,22 +134,6 @@ impl Sha256 {
     }
 }
 
-/// Pads a ≤ 55-byte message into one compression block: the message,
-/// `0x80`, zeros, then the 64-bit big-endian bit length.
-fn pad_one_block(msg: &[u8]) -> [u8; 64] {
-    // panic-allow(documented contract: the one-block fast paths only exist for messages that fit one padded block)
-    assert!(
-        msg.len() <= 55,
-        "one-block digest requires msg.len() <= 55, got {}",
-        msg.len()
-    );
-    let mut block = [0u8; 64];
-    block[..msg.len()].copy_from_slice(msg);
-    block[msg.len()] = 0x80;
-    block[56..].copy_from_slice(&(msg.len() as u64 * 8).to_be_bytes());
-    block
-}
-
 /// Serializes the working state as the big-endian FIPS digest.
 pub(crate) fn state_bytes(state: &[u32; 8]) -> [u8; 32] {
     let mut out = [0u8; 32];
@@ -216,24 +156,6 @@ pub(crate) fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
         return;
     }
     compress_scalar(state, block);
-}
-
-/// Two independent compressions: the interleaved SHA-NI kernel on
-/// x86-64 (which itself falls back to the scalar rounds off SHA-NI), two
-/// dispatched single compressions elsewhere.
-pub(crate) fn compress_pair(
-    state_a: &mut [u32; 8],
-    block_a: &[u8; 64],
-    state_b: &mut [u32; 8],
-    block_b: &[u8; 64],
-) {
-    #[cfg(target_arch = "x86_64")]
-    crate::shani::compress2(state_a, block_a, state_b, block_b);
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        compress(state_a, block_a);
-        compress(state_b, block_b);
-    }
 }
 
 /// Portable compression function: the FIPS 180-4 round schedule in
@@ -331,52 +253,6 @@ mod tests {
             h.update(&data[split..]);
             assert_eq!(h.finalize(), want, "split at {split}");
         }
-    }
-
-    #[test]
-    fn one_block_fast_path_matches_streaming_digest() {
-        for len in 0..=55usize {
-            let data: Vec<u8> = (0..len).map(|i| (i * 13 + len * 7) as u8).collect();
-            assert_eq!(
-                Sha256::digest_one_block(&data),
-                Sha256::digest(&data),
-                "len {len}"
-            );
-        }
-    }
-
-    #[test]
-    fn one_block_fast_path_records_the_same_probe_shape() {
-        crate::probe::start();
-        Sha256::digest(&[7u8; 40]);
-        let streaming = crate::probe::take();
-        crate::probe::start();
-        Sha256::digest_one_block(&[7u8; 40]);
-        assert_eq!(crate::probe::take(), streaming);
-    }
-
-    #[test]
-    #[should_panic(expected = "one-block digest")]
-    fn one_block_fast_path_rejects_oversize_messages() {
-        Sha256::digest_one_block(&[0u8; 56]);
-    }
-
-    #[test]
-    fn pair_fast_path_matches_two_single_digests() {
-        for (la, lb) in [(0usize, 55usize), (40, 40), (55, 0), (13, 27)] {
-            let a: Vec<u8> = (0..la).map(|i| (i * 3 + 1) as u8).collect();
-            let b: Vec<u8> = (0..lb).map(|i| (i * 5 + 2) as u8).collect();
-            let (da, db) = Sha256::digest_one_block_pair(&a, &b);
-            assert_eq!(da, Sha256::digest(&a), "a len {la}");
-            assert_eq!(db, Sha256::digest(&b), "b len {lb}");
-        }
-    }
-
-    #[test]
-    fn pair_fast_path_records_both_probe_entries_in_order() {
-        crate::probe::start();
-        Sha256::digest_one_block_pair(&[1u8; 40], &[2u8; 24]);
-        assert_eq!(crate::probe::take(), vec![40, 24]);
     }
 
     #[test]

@@ -2,9 +2,9 @@
 """Independent ChaCha20-Poly1305 and Poly1305 vectors for rlwe-hash.
 
 Prints the values pinned in `src/aead.rs` and `src/poly1305.rs` tests,
-and the sealed-frame digests pinned in rlwe-engine's
-`src/session.rs`, computed with the Python `cryptography` package
-(tested with 48.0).
+the sealed-frame digests pinned in rlwe-engine's `src/session.rs`, and
+the ChaCha20 DRBG outputs pinned in rlwe-core's `src/drbg.rs`, computed
+with the Python `cryptography` package (tested with 48.0).
 
     python3 crates/hash/vectors/chacha20poly1305.py
 
@@ -15,6 +15,7 @@ side.
 
 import hashlib
 
+from cryptography.hazmat.primitives.ciphers import Cipher, algorithms
 from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
 from cryptography.hazmat.primitives.poly1305 import Poly1305
 
@@ -53,6 +54,26 @@ def fixed_sender_frame(payload, seq):
     return header + ChaCha20Poly1305(enc).encrypt(frame_nonce(seq), payload, header)
 
 
+def drbg_block(key, index):
+    # Keystream block `index` of rlwe-core's `HashDrbg`: ChaCha20 block
+    # `index mod 2^32` under the nonce b"drbg" || (index >> 32) as a
+    # little-endian u64. `algorithms.ChaCha20` takes the 32-bit block
+    # counter and the 96-bit nonce as one 16-byte value.
+    nonce = b"drbg" + (index >> 32).to_bytes(8, "little")
+    iv = (index & 0xFFFFFFFF).to_bytes(4, "little") + nonce
+    enc = Cipher(algorithms.ChaCha20(key, iv), mode=None).encryptor()
+    return enc.update(b"\x00" * 64)
+
+
+def drbg(key, n, start=0):
+    out = b""
+    index = start
+    while len(out) < n:
+        out += drbg_block(key, index)
+        index += 1
+    return out[:n]
+
+
 def main():
     key = pattern(32, 7, 0x80)
     aad = pattern(13, 3, 0xF6)
@@ -86,6 +107,17 @@ def main():
     for n in [100, 16384]:
         frame = fixed_sender_frame(pattern(n, 1, 0), 3)
         print(f"# {n} B frame: {hashlib.sha256(frame).hexdigest()}")
+
+    seed = b"\x42" * 32
+    print("# DRBG: sha256 of the first 2200 bytes of HashDrbg::new([0x42; 32])")
+    print(f"# {hashlib.sha256(drbg(seed, 2200)).hexdigest()}")
+    stream_key = hashlib.sha256(
+        b"rlwe-drbg/stream" + b"\x07" * 32 + (3).to_bytes(8, "little")
+    ).digest()
+    print("# DRBG: first 64 bytes of HashDrbg::for_stream(&[7; 32], 3)")
+    print(f"# {drbg(stream_key, 64).hex()}")
+    print("# DRBG: HashDrbg::new([0x42; 32]) blocks 2^32 - 1 and 2^32")
+    print(f"# {drbg(seed, 128, start=(1 << 32) - 1).hex()}")
 
 
 if __name__ == "__main__":

@@ -345,8 +345,9 @@ fn ntt_trace_depends_only_on_the_ring_dimension() {
 #[test]
 fn decapsulation_hash_shape_is_identical_on_accept_and_reject() {
     // The CtCdt rung makes the re-encryption's random-bit consumption
-    // (and therefore the DRBG's SHA-256 refill count) fixed, so the
-    // *entire* decapsulation hash trace must be input-independent.
+    // fixed, and the ChaCha20 DRBG records no hash calls, so the
+    // *entire* decapsulation hash trace (the FO hashes) must be
+    // input-independent.
     let ctx = RlweContext::builder(ParamSet::P1)
         .sampler(SamplerKind::CtCdt)
         .build()

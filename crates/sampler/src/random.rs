@@ -20,7 +20,7 @@ pub trait WordSource {
     /// Fills `out` with the next `out.len()` words of the stream —
     /// exactly the words `out.len()` successive [`WordSource::next_word`]
     /// calls would return, in order. Sources backed by a block generator
-    /// (the SHA-256 DRBG) override this to amortize one squeeze over
+    /// (the ChaCha20 DRBG) override this to amortize one refill over
     /// many draws; the default just loops.
     fn fill_words(&mut self, out: &mut [u32]) {
         for w in out.iter_mut() {
@@ -110,7 +110,7 @@ impl WordSource for SplitMix64 {
 /// assert_eq!(bits.bits_drawn(), 8);
 /// assert_eq!(bits.words_fetched(), 1); // one 31-payload-bit refill so far
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct BufferedBitSource<W> {
     source: W,
     /// Current register: sentinel bit above the unused payload bits.
@@ -127,8 +127,7 @@ pub struct BufferedBitSource<W> {
 }
 
 /// Words prefetched per [`WordSource::fill_words`] call in
-/// [`BufferedBitSource::buffered`] mode (64 bytes — two SHA-256 DRBG
-/// output blocks per squeeze-batch).
+/// [`BufferedBitSource::buffered`] mode.
 const BLOCK_WORDS: usize = 16;
 
 impl<W: WordSource> BufferedBitSource<W> {
@@ -192,6 +191,27 @@ impl<W: WordSource> BufferedBitSource<W> {
     }
 }
 
+// The prefetched words and the register are unused coins: `Debug` shows
+// only the counters, and `Drop` erases them.
+impl<W: std::fmt::Debug> std::fmt::Debug for BufferedBitSource<W> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("BufferedBitSource")
+            .field("source", &self.source)
+            .field("bits_drawn", &self.bits_drawn)
+            .field("words_fetched", &self.words_fetched)
+            .finish_non_exhaustive()
+    }
+}
+
+impl<W> Drop for BufferedBitSource<W> {
+    fn drop(&mut self) {
+        rlwe_zq::ct::zeroize_u32(&mut self.block);
+        rlwe_zq::ct::zeroize_u32(std::slice::from_mut(&mut self.register));
+        #[cfg(test)]
+        tests::DROPPED_WORDS.set(Some((self.block, self.register)));
+    }
+}
+
 impl<W: WordSource> BitSource for BufferedBitSource<W> {
     fn take_bit(&mut self) -> u32 {
         if self.register == 1 {
@@ -235,6 +255,25 @@ impl<W: WordSource> BitSource for BufferedBitSource<W> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// The block and register a dropped source left behind, as its
+        /// `Drop` saw them after erasing.
+        pub(super) static DROPPED_WORDS: Cell<Option<([u32; BLOCK_WORDS], u32)>> =
+            const { Cell::new(None) };
+    }
+
+    #[test]
+    fn dropping_a_source_erases_its_prefetched_coins() {
+        let mut bits = BufferedBitSource::buffered(SplitMix64::new(0xD20));
+        bits.take_bits(8);
+        assert!(bits.block.iter().any(|&w| w != 0));
+        assert_ne!(bits.register, 0);
+        DROPPED_WORDS.set(None);
+        drop(bits);
+        assert_eq!(DROPPED_WORDS.get(), Some(([0; BLOCK_WORDS], 0)));
+    }
 
     #[test]
     fn sentinel_accounting() {
