@@ -286,7 +286,7 @@ impl<'f> Scanner<'f> {
                     let skip_body = pending_test_fn || pending_cfg_test;
                     pending_test_fn = false;
                     let owner = owners.last().map(|(_, n)| n.clone());
-                    i = self.function(i, owner, skip_body, depth);
+                    i = self.function(i, owner, skip_body);
                 }
                 "struct" => {
                     i = self.structure(i);
@@ -460,15 +460,9 @@ impl<'f> Scanner<'f> {
     }
 
     /// Parses a `fn` item starting at the `fn` token; records it unless
-    /// `skip_body`; returns the index to continue scanning from (inside
-    /// the body, so nested items are found — or past it when skipped).
-    fn function(
-        &mut self,
-        fn_idx: usize,
-        owner: Option<String>,
-        skip_body: bool,
-        depth: usize,
-    ) -> usize {
+    /// `skip_body`; returns the index to continue scanning from (the
+    /// body's `{`, so nested items are found — or past it when skipped).
+    fn function(&mut self, fn_idx: usize, owner: Option<String>, skip_body: bool) -> usize {
         let mut i = fn_idx + 1;
         if i >= self.f.len() || self.f.kind(i) != TokenKind::Ident {
             // `fn(u32) -> u32` pointer type, not an item.
@@ -531,9 +525,10 @@ impl<'f> Scanner<'f> {
             doc_panics,
             body: (i, body_end - 1),
         });
-        let _ = depth;
-        // Continue *inside* the body so nested fns are scanned too.
-        i + 1
+        // Continue at the body's `{`, so the main loop counts it (its
+        // `}` must not pop the enclosing `impl` owner) and scans nested
+        // fns too.
+        i
     }
 
     /// Parses a parameter list between significant indices
@@ -683,6 +678,17 @@ mod tests {
         assert!(s.fns[0].params[1].ty.contains("u32"));
         assert_eq!(s.fns[1].name, "free");
         assert!(s.fns[1].owner.is_none());
+    }
+
+    #[test]
+    fn every_method_of_an_impl_keeps_its_owner() {
+        let s = scan(
+            "impl HashDrbg { fn new() {} fn refill(&mut self) { if x {} } fn fill(&self) {} }\n\
+             fn free() {}",
+        );
+        let owners: Vec<_> = s.fns.iter().map(|f| f.owner.as_deref()).collect();
+        let drbg = Some("HashDrbg");
+        assert_eq!(owners, [drbg, drbg, drbg, None]);
     }
 
     #[test]

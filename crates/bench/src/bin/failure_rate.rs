@@ -29,9 +29,7 @@ fn main() {
         for _ in 0..trials {
             let ct = ctx.encrypt(&pk, &msg, &mut rng).expect("encrypt");
             let d = ctx.diagnostics(&sk, &ct).expect("diagnostics");
-            if d.failed {
-                failures += 1;
-            }
+            failures += usize::from(d.failed);
             worst_noise = worst_noise.max(d.max_noise);
             noise_sum += d.mean_noise;
         }

@@ -73,7 +73,8 @@ pub enum NttBackend {
 }
 
 impl NttBackend {
-    /// Stable lowercase identifier for the `ntt_backend` metric label.
+    /// Stable lowercase identifier: the `ntt_backend` label of
+    /// `rlwe_build_info`.
     pub fn label(self) -> &'static str {
         match self {
             NttBackend::Reference => "reference",
@@ -109,24 +110,13 @@ pub enum SamplerKind {
 }
 
 impl SamplerKind {
-    /// Stable lowercase identifier for the `sampler_kind` metric label.
+    /// Stable lowercase identifier: the part before the `/` of
+    /// `rlwe_build_info`'s `sampler` label.
     pub fn label(self) -> &'static str {
         match self {
             SamplerKind::Lut => "lut",
             SamplerKind::CtCdt => "ct_cdt",
         }
-    }
-}
-
-/// Which sampler kernel a rung's polynomial fills run on, as a stable
-/// metric-label string. Only the constant-time CDT rung has a vector
-/// backend (the 8-lane AVX2 table scan in `rlwe_sampler::avx2`); the
-/// Knuth-Yao rung batches its LUT probes lane-wise but executes scalar
-/// code, so it reports `scalar`.
-fn sampler_backend_label(sampler: SamplerKind) -> &'static str {
-    match sampler {
-        SamplerKind::CtCdt if rlwe_zq::cpu::avx2() => "avx2",
-        _ => "scalar",
     }
 }
 
@@ -163,18 +153,13 @@ fn record_phases(phases: &[rlwe_obs::Histogram], marks: &[Instant]) {
 /// Observability handles a context resolves **once at construction**
 /// and records through on the hot paths (relaxed atomic ops, no
 /// registry lookups). Every label is public data — parameter set,
-/// reducer kind, backend, sampler rung, phase name — never key or
-/// message material, and recording never branches on secret values
-/// (see the `crates/leakage` invariance gates).
+/// operation and phase name — never key or message material, and
+/// recording never branches on secret values (see the
+/// `crates/leakage` invariance gates). Which kernels the context runs
+/// is exported once per server, by `rlwe_build_info`.
 #[derive(Debug, Clone)]
 pub(crate) struct ObsHooks {
-    /// `rlwe_sampler_draws_total{param_set, sampler_kind}`.
-    pub sampler_draws: rlwe_obs::Counter,
-    /// `rlwe_sampler_dispatch_total{param_set, sampler_kind, sampler_backend}`
-    /// — one increment per polynomial-sized sampling dispatch, labelled
-    /// with the kernel that actually ran (`avx2` vs `scalar`).
-    pub sampler_dispatch: rlwe_obs::Counter,
-    /// `rlwe_kem_op_ns{op, param_set, reducer_kind, ntt_backend}`.
+    /// `rlwe_kem_op_ns{op="encap", param_set}`.
     pub encap_ns: rlwe_obs::Histogram,
     /// As above, `op="decap"`.
     pub decap_ns: rlwe_obs::Histogram,
@@ -190,41 +175,16 @@ pub(crate) struct ObsHooks {
 }
 
 impl ObsHooks {
-    fn resolve(
-        params: &Params,
-        kind: ReducerKind,
-        backend: NttBackend,
-        sampler: SamplerKind,
-    ) -> Self {
-        let reg = rlwe_obs::global();
+    fn resolve(params: &Params) -> Self {
         let set = params.obs_label();
         let kem = |op: &str| {
-            reg.histogram(
+            rlwe_obs::global().histogram(
                 "rlwe_kem_op_ns",
                 "KEM operation wall-clock latency by operation kind.",
-                &[
-                    ("op", op),
-                    ("param_set", &set),
-                    ("reducer_kind", kind.label()),
-                    ("ntt_backend", backend.label()),
-                ],
+                &[("op", op), ("param_set", &set)],
             )
         };
         Self {
-            sampler_draws: reg.counter(
-                "rlwe_sampler_draws_total",
-                "Error-polynomial coefficients drawn through the sampler rung.",
-                &[("param_set", &set), ("sampler_kind", sampler.label())],
-            ),
-            sampler_dispatch: reg.counter(
-                "rlwe_sampler_dispatch_total",
-                "Polynomial sampling dispatches by the kernel that ran.",
-                &[
-                    ("param_set", &set),
-                    ("sampler_kind", sampler.label()),
-                    ("sampler_backend", sampler_backend_label(sampler)),
-                ],
-            ),
             encap_ns: kem("encap"),
             decap_ns: kem("decap"),
             encap_cca_ns: kem("encap_cca"),
@@ -288,13 +248,6 @@ impl RlweContextBuilder {
     ///   2⁻⁹⁰ statistical-distance bound.
     pub fn build(self) -> Result<RlweContext, RlweError> {
         let plan = NttPlan::new(self.params.n(), self.params.q())?;
-        // The plan carries AVX2 tables exactly when the host has AVX2 and
-        // the ring is wide enough for the eight-lane kernels.
-        let backend = if plan.has_avx2() {
-            NttBackend::Avx2
-        } else {
-            NttBackend::Reference
-        };
         // Dispatch the reducer instantiation exactly once, here: every
         // hot path below routes through `dispatch`, so the P1/P2 kernels
         // run fully monomorphized with compile-time constants. The
@@ -302,7 +255,7 @@ impl RlweContextBuilder {
         // (cost-model and bench consumers) — same twiddles, same
         // outputs, different reduction tail; `promote` moves a clone's
         // tables into the specialized type rather than rebuilding them.
-        let dispatch = AnyNttPlan::promote_for_backend(plan.clone(), backend.label());
+        let dispatch = AnyNttPlan::promote(plan.clone());
         let spec = self.params.spec();
         let pmat = ProbabilityMatrix::build(spec, spec.paper_rows(), 109)?;
         // The CT sampler inverts the same probability table the Knuth-Yao
@@ -318,15 +271,13 @@ impl RlweContextBuilder {
         let ky = KnuthYao::new(pmat)?;
         // Observability handles resolve here, once: hot paths below
         // record through them without touching the registry again.
-        let obs = ObsHooks::resolve(&self.params, dispatch.kind(), backend, self.sampler);
+        let obs = ObsHooks::resolve(&self.params);
         Ok(RlweContext {
             params: self.params,
             plan,
             dispatch,
             ky,
             ct,
-            backend,
-            sampler: self.sampler,
             obs,
         })
     }
@@ -380,10 +331,8 @@ pub struct RlweContext {
     /// kernels.
     dispatch: AnyNttPlan,
     ky: KnuthYao,
-    /// Present exactly when `sampler == SamplerKind::CtCdt`.
+    /// Present exactly on the [`SamplerKind::CtCdt`] rung.
     ct: Option<CtCdtSampler>,
-    backend: NttBackend,
-    sampler: SamplerKind,
     /// Pre-resolved observability handles (see [`ObsHooks`]).
     pub(crate) obs: ObsHooks,
 }
@@ -441,15 +390,17 @@ impl RlweContext {
     /// tables (the host has AVX2 and `n ≥ 16`), [`NttBackend::Reference`]
     /// otherwise.
     pub fn backend(&self) -> NttBackend {
-        self.backend
+        if self.dispatch.has_avx2() {
+            NttBackend::Avx2
+        } else {
+            NttBackend::Reference
+        }
     }
 
-    /// Stable label of the selected NTT backend — the value this
-    /// context exported on the `ntt_backend` dimension of
-    /// `rlwe_ntt_dispatch_total` at construction (surfaced alongside
-    /// [`RlweContext::reducer_kind`], which CI pins the same way).
+    /// Stable label of the selected NTT backend — the `ntt_backend`
+    /// value of `rlwe_build_info`.
     pub fn backend_label(&self) -> &'static str {
-        self.backend.label()
+        self.backend().label()
     }
 
     /// Which reducer instantiation the scheme kernels dispatched to —
@@ -462,16 +413,24 @@ impl RlweContext {
 
     /// The sampler variant drawing the error polynomials.
     pub fn sampler_kind(&self) -> SamplerKind {
-        self.sampler
+        match self.ct {
+            Some(_) => SamplerKind::CtCdt,
+            None => SamplerKind::Lut,
+        }
     }
 
     /// Stable label of the sampler kernel polynomial fills dispatch to —
-    /// the value this context exports on the `sampler_backend` dimension
-    /// of `rlwe_sampler_dispatch_total`. `"avx2"` exactly when the rung
-    /// is [`SamplerKind::CtCdt`] and the host has AVX2 (the 8-lane table
-    /// scan), `"scalar"` otherwise.
+    /// the part after the `/` of `rlwe_build_info`'s `sampler` value.
+    /// `"avx2"` exactly when the rung is [`SamplerKind::CtCdt`] and the
+    /// host has AVX2 (the 8-lane table scan in `rlwe_sampler::avx2`),
+    /// `"scalar"` otherwise: the Knuth-Yao rung batches its LUT probes
+    /// lane-wise but executes scalar code.
     pub fn sampler_backend(&self) -> &'static str {
-        sampler_backend_label(self.sampler)
+        if self.ct.is_some() && rlwe_zq::cpu::avx2() {
+            "avx2"
+        } else {
+            "scalar"
+        }
     }
 
     /// A fresh scratch arena sized for this context's ring — hand one to
@@ -521,11 +480,6 @@ impl RlweContext {
     /// per-coefficient sign application ([`Reducer::signed_residue`])
     /// monomorphizes with compile-time `q` on the specialized plans.
     fn sample_error_into<R: Reducer, B: BitSource>(&self, r: &R, bits: &mut B, out: &mut [u32]) {
-        // One relaxed add keyed only by the (public) output length; the
-        // draw loop itself is untouched, so the sampler's operation
-        // trace — which the leakage gates pin exactly — cannot shift.
-        self.obs.sampler_draws.add(out.len() as u64);
-        self.obs.sampler_dispatch.add(1);
         match &self.ct {
             // Block fill: 8-at-a-time through the lane-parallel table
             // scan (AVX2 when the host has it, the bit-identical scalar
@@ -586,8 +540,8 @@ impl RlweContext {
         let (mut pk, mut sk) = self.empty_keypair();
         pk.a_hat = a_hat;
         let mut scratch = self.new_scratch();
-        self.keypair_body(rng, &mut pk, &mut sk, &mut scratch)?;
-        Ok((pk, sk))
+        self.keypair_body(rng, &mut pk, &mut sk, &mut scratch)
+            .map(|()| (pk, sk))
     }
 
     /// Key generation with a fresh uniform `ã`.
@@ -1124,12 +1078,44 @@ mod tests {
             let mut wire = pk.to_bytes().unwrap();
             wire.extend(sk.to_bytes().unwrap());
             wire.extend(ct.to_bytes().unwrap());
-            let got: String = rlwe_hash::Sha256::digest(&wire)
-                .iter()
-                .map(|b| format!("{b:02x}"))
-                .collect();
+            let got = sha256_hex(&wire);
             assert_eq!(got, want, "{set} on the {:?} NTT", ctx.backend());
         }
+    }
+
+    /// SHA-256 of `pk ‖ ct ‖ ss` for keygen and encapsulation on fixed
+    /// `HashDrbg` coins, the serving path's: they reach the samplers
+    /// through `RngWords` and `BufferedBitSource::buffered`, which the
+    /// `StdRng`-driven test above does not pin.
+    #[test]
+    fn known_answer_serving_path_digests() {
+        const WANT: [&str; 4] = [
+            "269c79ac34b2808550601666c70eee4181b11c492ec1d4bfb6cd1f695586f38e",
+            "c6246d8151c8ec7bd2bfca2ef2d89283fc9ffb5e3cdccd1402a7fa81c9caea79",
+            "0e0f34acffdf4c53e59772387c1cd5a0c7d47d68d44d78a4d47c4fe704bda980",
+            "b802c71f99127fdb4f6f8f5d91efccf2c6afe4e4e332d28c6e56c82d42577871",
+        ];
+        let runs = [ParamSet::P1, ParamSet::P2]
+            .into_iter()
+            .flat_map(|set| [SamplerKind::Lut, SamplerKind::CtCdt].map(|kind| (set, kind)));
+        for ((set, kind), want) in runs.zip(WANT) {
+            let ctx = RlweContext::builder(set).sampler(kind).build().unwrap();
+            let mut rng = crate::drbg::HashDrbg::new([0x5A; 32]);
+            let (pk, _) = ctx.generate_keypair(&mut rng).unwrap();
+            let (mut ct, mut scratch) = (ctx.empty_ciphertext(), ctx.new_scratch());
+            let (ct_bytes, ss) = ctx
+                .encapsulate_wire(&pk, &mut rng, &mut ct, &mut scratch)
+                .unwrap();
+            let wire = [pk.to_bytes().unwrap(), ct_bytes, ss.as_bytes().to_vec()].concat();
+            assert_eq!(sha256_hex(&wire), want, "{set} {kind:?}");
+        }
+    }
+
+    fn sha256_hex(bytes: &[u8]) -> String {
+        rlwe_hash::Sha256::digest(bytes)
+            .iter()
+            .map(|b| format!("{b:02x}"))
+            .collect()
     }
 
     #[test]

@@ -115,13 +115,16 @@ impl RngCore for HashDrbg {
         // depend on how a caller splits its requests (pinned by
         // `byte_granularity_matches_bulk_fill` below).
         let mut filled = 0;
+        // ct-allow(`filled` and `used` are byte positions set by the public request lengths)
         while filled < dest.len() {
+            // ct-allow(`used` is a public position; only the keystream bytes are secret)
             if self.used == BUF_LEN {
                 self.refill();
             }
             let n = (dest.len() - filled).min(BUF_LEN - self.used);
-            // panic-allow(n = min(dest.len()-filled, BUF_LEN-used) bounds both ranges)
-            dest[filled..filled + n].copy_from_slice(&self.keystream[self.used..self.used + n]);
+            let (src, dst) = (self.used..self.used + n, filled..filled + n);
+            // ct-allow(`src` and `dst` are public positions; only the copied bytes are secret)
+            dest[dst].copy_from_slice(&self.keystream[src]); // panic-allow(n fits both spans left)
             self.used += n;
             filled += n;
         }

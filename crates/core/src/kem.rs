@@ -88,8 +88,8 @@ impl RlweContext {
     ) -> Result<(Ciphertext, SharedSecret), RlweError> {
         let mut scratch = self.new_scratch();
         let mut ct = self.empty_ciphertext();
-        let ss = self.encapsulate_into(pk, rng, &mut ct, &mut scratch)?;
-        Ok((ct, ss))
+        self.encapsulate_into(pk, rng, &mut ct, &mut scratch)
+            .map(|ss| (ct, ss))
     }
 
     /// Polynomial-allocation-free encapsulation: writes the ciphertext into

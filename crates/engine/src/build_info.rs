@@ -6,8 +6,9 @@ use std::fmt;
 
 /// The kernels behind one context and the frame AEAD on this CPU,
 /// exported as `rlwe_build_info{chacha_backend, poly1305_backend,
-/// ntt_backend, sampler, sha_backend, cpu_features} 1`. Every label is a
-/// public property of the build and the CPU, read from
+/// ntt_backend, reducer, sampler, sha_backend, cpu_features} 1`, the one
+/// series that says which kernels are live. Every label is a public
+/// property of the build, the parameter set and the CPU, read from
 /// [`rlwe_zq::cpu`] through the same checks the kernels dispatch on.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BuildInfo {
@@ -19,6 +20,9 @@ pub struct BuildInfo {
     pub poly1305_backend: &'static str,
     /// The context's NTT: `avx2` or `reference`.
     pub ntt_backend: &'static str,
+    /// The context's modular reducer: `q7681` or `q12289` for the
+    /// paper's primes, `barrett` otherwise.
+    pub reducer: &'static str,
     /// The context's sampler and its kernel, e.g. `ct_cdt/avx2`.
     pub sampler: String,
     /// The SHA-256 compression: `sha_ni` or `scalar`.
@@ -36,17 +40,19 @@ impl BuildInfo {
             chacha_backend: hash.chacha20,
             poly1305_backend: hash.poly1305,
             ntt_backend: ctx.backend_label(),
+            reducer: ctx.reducer_kind().label(),
             sampler: format!("{}/{}", ctx.sampler_kind().label(), ctx.sampler_backend()),
             sha_backend: hash.sha256,
             cpu_features: rlwe_zq::cpu::features(),
         }
     }
 
-    fn labels(&self) -> [(&'static str, &str); 6] {
+    fn labels(&self) -> [(&'static str, &str); 7] {
         [
             ("chacha_backend", self.chacha_backend),
             ("poly1305_backend", self.poly1305_backend),
             ("ntt_backend", self.ntt_backend),
+            ("reducer", self.reducer),
             ("sampler", &self.sampler),
             ("sha_backend", self.sha_backend),
             ("cpu_features", &self.cpu_features),
@@ -94,6 +100,7 @@ mod tests {
             "{line} is not on the rendered page"
         );
         assert_eq!(info.ntt_backend, ctx.backend_label());
+        assert_eq!(info.reducer, "q7681");
         // Scrapers that split a label block on commas (perfbench's does)
         // must read every value whole.
         for (k, v) in info.labels() {

@@ -9,48 +9,11 @@
 //! The pool has no configuration: every context it holds is
 //! `RlweContext::new(set)`, with the NTT picked from the host. A server
 //! that wants another sampler builds its one context with
-//! `RlweContext::builder(set).sampler(..)` and holds it itself.
+//! `RlweContext::builder(set).sampler(..)` and holds it itself. Nor does
+//! it record metrics: a server calls `get` once, at start-up.
 
 use rlwe_core::{ParamSet, RlweContext, RlweError};
 use std::sync::{Arc, Mutex, OnceLock};
-use std::time::Instant;
-
-/// Global-registry handles for one parameter set's pool traffic.
-struct PoolObs {
-    hits: rlwe_obs::Counter,
-    misses: rlwe_obs::Counter,
-    build_ns: rlwe_obs::Histogram,
-}
-
-/// The per-set pool series, registered once per process. Every
-/// [`ContextPool`] (global or private) reports into the same series —
-/// the pool dimension that matters operationally is the parameter set,
-/// not the pool instance.
-fn pool_obs(set: ParamSet) -> &'static PoolObs {
-    static OBS: OnceLock<[PoolObs; 2]> = OnceLock::new();
-    let all = OBS.get_or_init(|| {
-        let reg = rlwe_obs::global();
-        let one = |label: &str| PoolObs {
-            hits: reg.counter(
-                "rlwe_pool_hits_total",
-                "Context pool lookups served from cache.",
-                &[("param_set", label)],
-            ),
-            misses: reg.counter(
-                "rlwe_pool_misses_total",
-                "Context pool lookups that had to build a context.",
-                &[("param_set", label)],
-            ),
-            build_ns: reg.histogram(
-                "rlwe_pool_build_ns",
-                "Wall-clock cost of each context build (tables + plans).",
-                &[("param_set", label)],
-            ),
-        };
-        [one("P1"), one("P2")]
-    });
-    &all[slot_index(set)]
-}
 
 /// A cache of ready-to-use contexts, one per parameter set.
 ///
@@ -98,18 +61,13 @@ impl ContextPool {
     /// Propagates context construction failures (cannot happen for the
     /// named parameter sets, which are known-good).
     pub fn get(&self, set: ParamSet) -> Result<Arc<RlweContext>, RlweError> {
-        let obs = pool_obs(set);
         let mut slot = self.slots[slot_index(set)]
             .lock()
             .expect("context pool lock poisoned");
         if let Some(ctx) = slot.as_ref() {
-            obs.hits.inc();
             return Ok(Arc::clone(ctx));
         }
-        obs.misses.inc();
-        let t0 = Instant::now();
         let ctx = Arc::new(RlweContext::new(set)?);
-        obs.build_ns.record(t0.elapsed());
         *slot = Some(Arc::clone(&ctx));
         Ok(ctx)
     }
@@ -148,8 +106,11 @@ mod tests {
         // built with the constant-time sampler a decapsulation server
         // wants — must run on the monomorphized special-prime reducer,
         // never the generic Barrett fallback, and on the AVX2 NTT
-        // whenever the host has it. A regression here silently costs
-        // the whole serving layer the specialized kernels.
+        // whenever the host has it. Neither regression fails a
+        // correctness test. The AVX2 NTT takes q and 2q at run time and
+        // uses no `Reducer`, so on an AVX2 host the reducer reaches only
+        // the pointwise products, the sampler residues and the
+        // scalar-NTT fallback; without AVX2 it reaches every transform.
         use rlwe_core::{NttBackend, ReducerKind, SamplerKind};
         let pool = ContextPool::new();
         assert_eq!(

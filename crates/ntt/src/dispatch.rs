@@ -24,52 +24,6 @@ use crate::error::NttError;
 use crate::plan::NttPlan;
 use crate::trace::NttOpTrace;
 use crate::PolyScratch;
-use std::sync::OnceLock;
-
-/// The NTT backend labels `rlwe_ntt_dispatch_total` can carry: the
-/// kernel a context's plan serves (`avx2` when the host has it, the
-/// scalar `reference` transform otherwise).
-pub const BACKEND_LABELS: [&str; 2] = ["reference", "avx2"];
-
-/// Pre-resolved `rlwe_ntt_dispatch_total{ntt_backend,reducer_kind}`
-/// counters, one per (instantiation × backend) pair: dispatch decisions
-/// are counted in the global observability registry so the P1/P2
-/// specialization claim — and now the selected NTT backend — is visible
-/// at runtime, not only in CI assertions.
-fn dispatch_counter(kind: ReducerKind, backend: &str) -> &'static rlwe_obs::Counter {
-    static COUNTERS: OnceLock<Vec<rlwe_obs::Counter>> = OnceLock::new();
-    const KINDS: [ReducerKind; 3] = [
-        ReducerKind::Q7681,
-        ReducerKind::Q12289,
-        ReducerKind::Barrett,
-    ];
-    let all = COUNTERS.get_or_init(|| {
-        let mut v = Vec::with_capacity(KINDS.len() * BACKEND_LABELS.len());
-        for k in KINDS {
-            for b in BACKEND_LABELS {
-                v.push(rlwe_obs::global().counter(
-                    "rlwe_ntt_dispatch_total",
-                    "AnyNttPlan dispatch selections by NTT backend and reducer instantiation.",
-                    &[("ntt_backend", b), ("reducer_kind", k.label())],
-                ));
-            }
-        }
-        v
-    });
-    let ki = match kind {
-        ReducerKind::Q7681 => 0,
-        ReducerKind::Q12289 => 1,
-        ReducerKind::Barrett => 2,
-    };
-    // Unknown labels fall back to `reference` rather than panicking —
-    // the label set is closed over BACKEND_LABELS.
-    let bi = BACKEND_LABELS
-        .iter()
-        .position(|&b| b == backend)
-        .unwrap_or(0);
-    let idx = ki * BACKEND_LABELS.len() + bi;
-    all.get(idx).unwrap_or(&all[0])
-}
 
 /// An [`NttPlan`] over whichever [`Reducer`] matches its modulus —
 /// specialized for the paper's primes, runtime Barrett otherwise.
@@ -128,22 +82,18 @@ impl AnyNttPlan {
     /// that already hold a generic plan (e.g. `RlweContext`, which keeps
     /// one for its `plan()` accessor) pay no second construction.
     pub fn promote(plan: NttPlan) -> Self {
-        Self::promote_for_backend(plan, "reference")
-    }
-
-    /// [`AnyNttPlan::promote`] with an explicit NTT-backend label for the
-    /// dispatch metric: `rlwe-core`'s context builder passes the backend
-    /// it selected (`reference`/`avx2`) so
-    /// `rlwe_ntt_dispatch_total{ntt_backend,reducer_kind}` reports which
-    /// transform implementation the selected plan will actually serve.
-    pub fn promote_for_backend(plan: NttPlan, backend: &str) -> Self {
-        let selected = match plan.q() {
+        match plan.q() {
             Q7681::Q => AnyNttPlan::Q7681(plan.retag(Q7681)),
             Q12289::Q => AnyNttPlan::Q12289(plan.retag(Q12289)),
             _ => AnyNttPlan::Generic(plan),
-        };
-        dispatch_counter(selected.kind(), backend).inc();
-        selected
+        }
+    }
+
+    /// [`AnyNttPlan::promote`], for callers that still pass an NTT-backend
+    /// label. The label is ignored: `rlwe_build_info` alone names the NTT
+    /// and reducer a serving context runs.
+    pub fn promote_for_backend(plan: NttPlan, _backend: &str) -> Self {
+        Self::promote(plan)
     }
 
     /// Which reducer instantiation this plan dispatches to.
@@ -356,28 +306,6 @@ mod tests {
             AnyNttPlan::new(256, 8383489).unwrap().kind(),
             ReducerKind::Barrett
         );
-    }
-
-    #[test]
-    fn dispatch_decisions_are_counted_per_reducer_kind() {
-        let specialized = dispatch_counter(ReducerKind::Q7681, "reference").get();
-        let generic = dispatch_counter(ReducerKind::Barrett, "reference").get();
-        let _ = AnyNttPlan::new(256, 7681).unwrap();
-        let _ = AnyNttPlan::new(256, 8383489).unwrap();
-        // Counters are global and other tests run concurrently, so only
-        // lower bounds are exact here.
-        assert!(dispatch_counter(ReducerKind::Q7681, "reference").get() > specialized);
-        assert!(dispatch_counter(ReducerKind::Barrett, "reference").get() > generic);
-    }
-
-    #[test]
-    fn backend_labels_are_counted_independently() {
-        let avx2_before = dispatch_counter(ReducerKind::Q12289, "avx2").get();
-        let _ = AnyNttPlan::promote_for_backend(NttPlan::new(512, 12289).unwrap(), "avx2");
-        assert!(dispatch_counter(ReducerKind::Q12289, "avx2").get() > avx2_before);
-        // The rendered metric carries both dimensions.
-        let text = rlwe_obs::render();
-        assert!(text.contains("ntt_backend=\"avx2\""));
     }
 
     #[test]

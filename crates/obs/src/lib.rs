@@ -21,7 +21,7 @@
 //! # No secret data
 //!
 //! Metric names and label values must be keyed only by *public* data
-//! (parameter set, reducer kind, backend, operation name — never key
+//! (parameter set, kernel name, operation name — never key
 //! material, messages or noise). Recording a duration or bumping a
 //! counter performs no data-dependent branching, so instrumentation
 //! cannot perturb constant-time code; the `crates/leakage` invariance

@@ -9,7 +9,7 @@
 //! | `RLWE_SERVER_ADDR` | listen address | `127.0.0.1:7681` |
 //! | `RLWE_MAX_CONNS` | live-connection (and worker-thread) ceiling | `1024` |
 //! | `RLWE_PARAM_SET` | `P1` or `P2` | `P1` |
-//! | `RLWE_READ_TIMEOUT_MS` | per-read timeout mid-request | `5000` |
+//! | `RLWE_READ_TIMEOUT_MS` | deadline for reading one whole request, from its first byte | `5000` |
 //! | `RLWE_WRITE_TIMEOUT_MS` | per-write timeout | `5000` |
 //! | `RLWE_IDLE_TIMEOUT_MS` | eviction deadline between requests; also how long a parked worker thread lives | `30000` |
 //! | `RLWE_DRAIN_TIMEOUT_MS` | per-connection grace during shutdown | `500` |
@@ -31,7 +31,7 @@ pub mod env_vars {
     pub const MAX_CONNS: &str = "RLWE_MAX_CONNS";
     /// Parameter set (`P1`/`P2`).
     pub const PARAM_SET: &str = "RLWE_PARAM_SET";
-    /// Mid-request read timeout (ms).
+    /// Deadline for reading one whole request, from its first byte (ms).
     pub const READ_TIMEOUT_MS: &str = "RLWE_READ_TIMEOUT_MS";
     /// Write timeout (ms).
     pub const WRITE_TIMEOUT_MS: &str = "RLWE_WRITE_TIMEOUT_MS";
@@ -76,7 +76,8 @@ pub struct ServerConfig {
     pub max_conns: usize,
     /// Ring-LWE parameter set served.
     pub param_set: ParamSet,
-    /// Timeout for reads *inside* a request frame.
+    /// Deadline for reading one whole request (protocol frame or HTTP
+    /// head), counted from its first byte.
     pub read_timeout: Duration,
     /// Timeout for response writes.
     pub write_timeout: Duration,

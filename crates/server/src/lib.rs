@@ -134,11 +134,7 @@ mod tests {
         client.exchange(b"rendered").unwrap();
         let text = rlwe_obs::render();
         for name in [
-            "rlwe_pool_hits_total",
-            "rlwe_pool_misses_total",
-            "rlwe_pool_build_ns",
-            "rlwe_ntt_dispatch_total",
-            "rlwe_sampler_draws_total",
+            "rlwe_build_info",
             "rlwe_kem_op_ns",
             "rlwe_phase_ns",
             "rlwe_session_frames_sealed_total",
@@ -149,7 +145,7 @@ mod tests {
             assert!(text.contains(name), "render() missing {name}:\n{text}");
         }
         assert!(text.contains("param_set=\"P1\""));
-        assert!(text.contains("reducer_kind=\"q7681\""));
+        assert!(text.contains("reducer=\"q7681\""));
         handle.shutdown();
     }
 }

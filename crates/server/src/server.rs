@@ -453,19 +453,54 @@ fn await_first_byte(shared: &Shared, stream: &mut TcpStream) -> FirstByte {
     }
 }
 
+/// Reads one request under `read_timeout` as a deadline counted from its
+/// first byte, so trickled bytes cannot hold a request open. The socket
+/// timeout drops to the time left only once that is a [`POLL`] below it:
+/// a prompt request costs one syscall, and a read ends within a `POLL`
+/// of the deadline.
+struct RequestReader<'a> {
+    stream: &'a mut TcpStream,
+    deadline: Instant,
+    /// The socket's read timeout as last set.
+    timeout: Duration,
+}
+
+impl<'a> RequestReader<'a> {
+    fn new(stream: &'a mut TcpStream, read_timeout: Duration) -> std::io::Result<Self> {
+        stream.set_read_timeout(Some(read_timeout))?;
+        Ok(Self {
+            stream,
+            deadline: Instant::now() + read_timeout,
+            timeout: read_timeout,
+        })
+    }
+}
+
+impl Read for RequestReader<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let left = self.deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(std::io::ErrorKind::TimedOut.into());
+        }
+        if left + POLL < self.timeout {
+            self.stream.set_read_timeout(Some(left))?;
+            self.timeout = left;
+        }
+        self.stream.read(buf)
+    }
+}
+
 fn serve_conn(shared: &Shared, mut conn: Conn) {
     let mut session: Option<ConnSession> = None;
     loop {
         match await_first_byte(shared, &mut conn.stream) {
             FirstByte::Byte(MAGIC) => {
-                if conn
-                    .stream
-                    .set_read_timeout(Some(shared.config.read_timeout))
-                    .is_err()
-                {
+                let Ok(mut reader) =
+                    RequestReader::new(&mut conn.stream, shared.config.read_timeout)
+                else {
                     break;
-                }
-                match wire::read_request_after_magic(&mut conn.stream) {
+                };
+                match wire::read_request_after_magic(&mut reader) {
                     ReadOutcome::Frame(req) => {
                         let (status, body, close) = handle_request(shared, &mut session, req);
                         let frame = wire::encode_response(status, &body);
@@ -486,9 +521,6 @@ fn serve_conn(shared: &Shared, mut conn: Conn) {
             }
             FirstByte::Byte(first) => {
                 // Plaintext HTTP (the metrics/health scrape path).
-                let _ = conn
-                    .stream
-                    .set_read_timeout(Some(shared.config.read_timeout));
                 serve_http(shared, &mut conn, first);
                 break;
             }
@@ -573,7 +605,9 @@ fn dispatch_request(shared: &Shared, session: &mut Option<ConnSession>, req: Req
 // ---------------------------------------------------------------- http
 
 fn serve_http(shared: &Shared, conn: &mut Conn, first_byte: u8) {
-    let req = match http::read_request(&mut conn.stream, first_byte) {
+    let req = RequestReader::new(&mut conn.stream, shared.config.read_timeout)
+        .and_then(|mut reader| http::read_request(&mut reader, first_byte));
+    let req = match req {
         Ok(req) => req,
         Err(_) => {
             let resp = http::response(400, "Bad Request", "text/plain", b"bad request\n");

@@ -31,6 +31,11 @@ fn base_config() -> ServerConfig {
     }
 }
 
+/// The `/metrics` page as text.
+fn scrape(addr: SocketAddr) -> String {
+    String::from_utf8_lossy(&http_get(addr, "/metrics").unwrap().body).into_owned()
+}
+
 /// Polls until `cond` holds or a generous deadline passes.
 fn wait_for(what: &str, cond: impl Fn() -> bool) {
     let deadline = Instant::now() + Duration::from_secs(10);
@@ -122,7 +127,7 @@ fn thirty_two_concurrent_clients_with_live_metrics_scrapes() {
     );
 
     // A final scrape shows the per-op series the fleet just exercised.
-    let body = String::from_utf8_lossy(&http_get(addr, "/metrics").unwrap().body).into_owned();
+    let body = scrape(addr);
     for needle in [
         r#"rlwe_server_requests_total{op="session_frame"}"#,
         r#"rlwe_server_requests_total{op="session_hello"}"#,
@@ -131,21 +136,9 @@ fn thirty_two_concurrent_clients_with_live_metrics_scrapes() {
     ] {
         assert!(body.contains(needle), "missing {needle} in:\n{body}");
     }
-    // The contexts behind the server picked their NTT from the host:
-    // every KEM latency series carries that one backend label.
-    let backend = if rlwe_zq::cpu::avx2() {
-        r#"ntt_backend="avx2""#
-    } else {
-        r#"ntt_backend="reference""#
-    };
-    let kem: Vec<&str> = body
-        .lines()
-        .filter(|l| l.starts_with("rlwe_kem_op_ns"))
-        .collect();
-    assert!(!kem.is_empty(), "no rlwe_kem_op_ns series in:\n{body}");
-    for line in kem {
-        assert!(line.contains(backend), "expected {backend} on {line}");
-    }
+    // The kernels behind the server are named once, by its build info.
+    let build_info = handle.build_info().to_string();
+    assert!(body.contains(&build_info), "no {build_info} in:\n{body}");
 
     handle.shutdown();
 }
@@ -159,12 +152,11 @@ fn thirty_two_concurrent_clients_with_live_metrics_scrapes() {
 #[test]
 fn build_info_on_metrics_names_the_detected_chacha_tier() {
     let handle = serve(base_config()).unwrap();
-    let body = String::from_utf8_lossy(&http_get(handle.local_addr(), "/metrics").unwrap().body)
-        .into_owned();
-    let line = body
-        .lines()
-        .find(|l| l.starts_with("rlwe_build_info{"))
-        .unwrap_or_else(|| panic!("no rlwe_build_info series in:\n{body}"));
+    let body = scrape(handle.local_addr());
+    // Servers of both parameter sets run in this process, each with its
+    // own series; this server's is the one with its labels.
+    let line = handle.build_info().to_string();
+    assert!(body.lines().any(|l| l == line), "no {line} in:\n{body}");
     let tier = |wide: bool, name: &'static str| -> &'static str {
         if wide {
             name
@@ -186,7 +178,48 @@ fn build_info_on_metrics_names_the_detected_chacha_tier() {
     );
     let features = format!(r#"cpu_features="{}""#, rlwe_zq::cpu::features());
     assert!(line.contains(&features), "expected {features} on {line}");
-    assert_eq!(line, handle.build_info().to_string());
+    handle.shutdown();
+}
+
+// ------------------------------------------------------------------------
+// `rlwe_build_info` is the one series that names the kernels: it carries
+// the reducer and the NTT the host picked, no other series carries them,
+// and the dispatch, sampler and pool series are gone.
+// ------------------------------------------------------------------------
+
+#[test]
+fn build_info_is_the_only_series_that_names_the_kernels() {
+    let handle = serve(base_config()).unwrap();
+    let body = scrape(handle.local_addr());
+    let line = handle.build_info().to_string();
+    assert!(body.lines().any(|l| l == line), "no {line} in:\n{body}");
+    let ntt = if rlwe_zq::cpu::avx2() {
+        "avx2"
+    } else {
+        "reference"
+    };
+    for label in [r#"reducer="q7681""#, &format!(r#"ntt_backend="{ntt}""#)] {
+        assert!(line.contains(label), "expected {label} on {line}");
+    }
+    let gone = [
+        "rlwe_ntt_dispatch_total",
+        "rlwe_sampler_dispatch_total",
+        "rlwe_sampler_draws_total",
+        "rlwe_pool_",
+    ];
+    for l in body.lines() {
+        assert!(!gone.iter().any(|g| l.starts_with(g)), "{l}");
+        if l.starts_with("rlwe_kem_op_ns") {
+            assert!(
+                !l.contains("reducer_kind") && !l.contains("ntt_backend"),
+                "{l}"
+            );
+        }
+    }
+    assert!(
+        body.contains("\nrlwe_kem_op_ns{"),
+        "no rlwe_kem_op_ns in:\n{body}"
+    );
     handle.shutdown();
 }
 
@@ -792,13 +825,11 @@ fn session_counters_track_handshakes_frames_and_confirm_failures() {
     assert!(m.requests_total(OpCode::SessionHello) - hellos0 >= sess.retries + 3);
 
     // `/metrics` carries every layer of the stack the server ran on.
-    let body = String::from_utf8_lossy(&http_get(addr, "/metrics").unwrap().body).into_owned();
+    let body = scrape(addr);
+    let build_info = handle.build_info().to_string();
+    assert_eq!(handle.build_info().reducer, "q12289");
     for needle in [
-        "rlwe_pool_hits_total",
-        "rlwe_pool_misses_total",
-        "rlwe_pool_build_ns",
-        "rlwe_ntt_dispatch_total",
-        "rlwe_sampler_draws_total",
+        build_info.as_str(),
         "rlwe_kem_op_ns",
         r#"rlwe_phase_ns_count{op="decrypt",phase="decode",param_set="P2"}"#,
         "rlwe_session_frames_sealed_total",
@@ -807,12 +838,53 @@ fn session_counters_track_handshakes_frames_and_confirm_failures() {
         r#"rlwe_session_handshakes_total{param_set="P2",role="responder"}"#,
         "rlwe_session_handshake_failures_total",
         r#"param_set="P1""#,
-        r#"reducer_kind="q7681""#,
     ] {
         assert!(body.contains(needle), "missing {needle} in:\n{body}");
     }
     // The server never initiates, and nothing runs batches.
     assert!(!body.contains(r#"role="initiator""#), "{body}");
     assert!(!body.contains("rlwe_batch_"), "{body}");
+    handle.shutdown();
+}
+
+// ------------------------------------------------------------------------
+// `read_timeout` bounds a whole request from its first byte: a peer that
+// trickles a protocol frame or an HTTP head, each byte well inside the
+// timeout, is cut off at the deadline, or one server poll (25 ms) after.
+// ------------------------------------------------------------------------
+
+#[test]
+fn a_trickled_request_is_cut_off_at_the_read_deadline() {
+    use std::io::{Read, Write};
+    let mut config = base_config();
+    config.read_timeout = Duration::from_millis(300);
+    let handle = serve(config).unwrap();
+    let frame = wire::encode_request(OpCode::Ping, &[7u8; 20]);
+    for request in [frame, b"GET /healthz HTTP/1.0\r\n\r\n".to_vec()] {
+        let mut stream = TcpStream::connect(handle.local_addr()).unwrap();
+        let mut writer = stream.try_clone().unwrap();
+        // Let a worker take the connection before the first byte goes.
+        std::thread::sleep(Duration::from_millis(50));
+        let start = Instant::now();
+        let trickler = std::thread::spawn(move || {
+            for byte in request {
+                if writer.write_all(&[byte]).is_err() {
+                    break;
+                }
+                std::thread::sleep(Duration::from_millis(200));
+            }
+        });
+        // EOF after the server's answer, or a reset: either is a close.
+        stream
+            .set_read_timeout(Some(Duration::from_secs(2)))
+            .unwrap();
+        let _ = stream.read_to_end(&mut Vec::new());
+        let elapsed = start.elapsed();
+        assert!(
+            elapsed <= Duration::from_millis(325),
+            "closed after {elapsed:?}"
+        );
+        trickler.join().unwrap();
+    }
     handle.shutdown();
 }

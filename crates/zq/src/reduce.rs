@@ -61,10 +61,9 @@ pub enum ReducerKind {
 }
 
 impl ReducerKind {
-    /// Stable lowercase identifier for use as a metric label value
-    /// (`reducer_kind` in `rlwe-obs` series). Unlike the `Display`
-    /// rendering this never contains spaces or `=` and is pinned by the
-    /// observability golden tests, so exported series names stay stable.
+    /// Stable lowercase identifier for use as a metric label value (the
+    /// `reducer` label of `rlwe_build_info`). Unlike the `Display`
+    /// rendering this never contains spaces or `=`.
     pub fn label(self) -> &'static str {
         match self {
             ReducerKind::Barrett => "barrett",

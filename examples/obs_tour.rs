@@ -28,7 +28,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // 2. The stack instruments itself into the GLOBAL registry: run a
-    //    few KEM operations and the pool/NTT/sampler/KEM series fill in.
+    //    few KEM operations and the KEM and phase series fill in.
     let ctx = RlweContext::new(ParamSet::P1)?;
     let mut rng = HashDrbg::new([7u8; 32]);
     let (pk, sk) = ctx.generate_keypair(&mut rng)?;
@@ -62,7 +62,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let text = obs::render();
     let interesting = text
         .lines()
-        .filter(|l| l.contains("rlwe_kem_op_ns") || l.contains("rlwe_sampler_draws"))
+        .filter(|l| l.contains("rlwe_kem_op_ns"))
         .take(12)
         .collect::<Vec<_>>()
         .join("\n");
