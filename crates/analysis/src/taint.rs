@@ -291,13 +291,17 @@ impl<'a> Pass<'a> {
         if prev_dot && self.secret_fields.contains(t) {
             return Some(format!(".{t}"));
         }
-        let direct = self.tainted.contains(t) && !prev_dot;
-        if direct {
-            // De-taint chain: `secret.len()` etc. is public structure.
-            if next(1) == Some(".") && i + 2 < end && DETAINT.contains(&self.text(i + 2)) {
-                return None;
+        if !prev_dot {
+            if let Some((last, path)) = self.tainted_path(i, end) {
+                // De-taint chain: `secret.len()` etc. is public structure.
+                if last + 2 < end
+                    && self.text(last + 1) == "."
+                    && DETAINT.contains(&self.text(last + 2))
+                {
+                    return None;
+                }
+                return Some(path);
             }
-            return Some(t.to_string());
         }
         if !full {
             return None;
@@ -358,6 +362,49 @@ impl<'a> Pass<'a> {
 
     // ---- propagation --------------------------------------------------
 
+    /// The field token after `last` in a place `a.b.c…`, if the place
+    /// goes on. A method name ends it: `a.b.get()` yields a value, and
+    /// the place it reads or writes through is its receiver `a.b`.
+    fn next_field(&self, last: usize, end: usize) -> Option<usize> {
+        let f = last + 2;
+        (f < end
+            && self.text(last + 1) == "."
+            && self.is_ident(f)
+            && !(f + 1 < end && matches!(self.text(f + 1), "(" | "::")))
+        .then_some(f)
+    }
+
+    /// The shortest tainted prefix of the place rooted at ident `i`: the
+    /// root name itself, or a field path an out-parameter tainted.
+    /// Returns the prefix's last token and its text.
+    fn tainted_path(&self, i: usize, end: usize) -> Option<(usize, String)> {
+        let mut path = self.text(i).to_string();
+        let mut last = i;
+        loop {
+            if self.tainted.contains(&path) {
+                return Some((last, path));
+            }
+            last = self.next_field(last, end)?;
+            path.push('.');
+            path.push_str(self.text(last));
+        }
+    }
+
+    /// The place an `&mut` argument rooted at ident `i` writes through:
+    /// `a` for `&mut a` or `&mut a[k]`, `a.b` for `&mut a.b` — a field
+    /// path, never its root, so `&mut self.scratch` leaves the rest of
+    /// `self` public.
+    fn place_path(&self, i: usize, end: usize) -> String {
+        let mut path = self.text(i).to_string();
+        let mut last = i;
+        while let Some(f) = self.next_field(last, end) {
+            last = f;
+            path.push('.');
+            path.push_str(self.text(last));
+        }
+        path
+    }
+
     /// One propagation sweep; returns whether the taint set grew.
     fn propagate(&mut self) -> bool {
         let (lo, hi) = self.body_range();
@@ -376,19 +423,22 @@ impl<'a> Pass<'a> {
             }
         }
         // Out-parameter writes: any statement window that carries taint
-        // taints its `&mut ident` arguments (`decrypt_into(&sk, …, &mut
-        // msg)` makes `msg` secret).
+        // taints the place each `&mut` argument names (`decrypt_into(&sk,
+        // …, &mut msg)` makes `msg` secret; `&mut self.scratch` makes
+        // `self.scratch` secret, not the rest of `self`).
         let mut j = lo;
         while j < hi {
             let (s, e) = self.stmt_window(j);
             if self.window_taint(s, e, true).is_some() {
                 let mut k = s;
                 while k + 2 < e {
-                    if self.text(k) == "&" && self.text(k + 1) == "mut" && self.is_ident(k + 2) {
-                        let name = self.text(k + 2).to_string();
-                        if !KEYWORDS.contains(&name.as_str()) {
-                            self.tainted.insert(name);
-                        }
+                    if self.text(k) == "&"
+                        && self.text(k + 1) == "mut"
+                        && self.is_ident(k + 2)
+                        && !KEYWORDS.contains(&self.text(k + 2))
+                    {
+                        let place = self.place_path(k + 2, e);
+                        self.tainted.insert(place);
                     }
                     k += 1;
                 }
@@ -1004,6 +1054,27 @@ mod tests {
              if msg[0] == 1 { out[0] = 1; } }",
         );
         assert_eq!(rules(&f), vec![Rule::CtBranch]);
+    }
+
+    #[test]
+    fn out_param_taint_stays_on_the_field_it_names() {
+        // The leakage harness's timed decapsulation: the `&mut
+        // self.scratch` out-parameter of a secret call makes the scratch
+        // secret, but indexing a public pool by the public selector word
+        // stays quiet — the rest of `self` is not tainted with it.
+        let f = analyze(
+            "struct C { // ct: secret\n sk: u32, scratch: [u8; 4], selector: u32, pool: [u8; 4] }\n\
+             impl C { fn decap_once(&mut self) -> u8 {\n\
+                 let ss = decapsulate_cca_with_scratch(&self.sk, &mut self.scratch);\n\
+                 let ct = self.pool[self.selector.next_word() as usize % 4];\n\
+                 let lut = [0u8; 256];\n\
+                 ss ^ ct ^ lut[self.scratch[0] as usize] } }",
+        );
+        assert_eq!(
+            f.iter().map(|f| (f.rule, f.line)).collect::<Vec<_>>(),
+            vec![(Rule::CtIndex, 7)],
+            "{f:?}"
+        );
     }
 
     #[test]

@@ -28,7 +28,7 @@ use std::time::Instant;
 use crate::encode::{decode_message_into, encode_message_add_assign};
 use crate::keys::{Ciphertext, PublicKey, SecretKey};
 use crate::params::{ParamSet, Params};
-use crate::poly::{Ntt, Poly};
+use crate::poly::Poly;
 use crate::RlweError;
 
 /// Adapter turning any [`rand::RngCore`] into the sampler's word source.
@@ -497,7 +497,7 @@ impl RlweContext {
     ///
     /// Coefficients are drawn by rejection from `coeff_bits`-bit strings,
     /// so the distribution is exactly uniform over `Z_q`.
-    pub fn sample_uniform<R: RngCore + ?Sized>(&self, rng: &mut R) -> Poly<Ntt> {
+    pub fn sample_uniform<R: RngCore + ?Sized>(&self, rng: &mut R) -> Poly {
         let mut poly = Poly::zeroed(self.params.n(), *self.plan.modulus());
         self.sample_uniform_into(rng, poly.as_mut_slice());
         poly
@@ -531,7 +531,7 @@ impl RlweContext {
     /// context's ring.
     pub fn generate_keypair_with_a_poly<R: RngCore + ?Sized>(
         &self,
-        a_hat: Poly<Ntt>,
+        a_hat: Poly,
         rng: &mut R,
     ) -> Result<(PublicKey, SecretKey), RlweError> {
         if a_hat.len() != self.params.n() || a_hat.q() != self.params.q() {

@@ -12,7 +12,7 @@
 //! same AVX-512F/AVX2 kernels as the session frames (DESIGN.md §12).
 
 use rand::{CryptoRng, Error as RandError, RngCore};
-use rlwe_hash::{chacha20_xor, Sha256};
+use rlwe_hash::{chacha20_xor, probe, Sha256};
 
 /// Domain-separation prefix for [`HashDrbg::for_stream`] derivation.
 const DS_STREAM: &[u8] = b"rlwe-drbg/stream";
@@ -85,13 +85,16 @@ impl HashDrbg {
 
     /// Generates the next [`REFILL_BLOCKS`] keystream blocks. `block` is
     /// a multiple of [`REFILL_BLOCKS`], so its low half does not wrap
-    /// inside the call.
+    /// inside the call. Each refill is one entry in the leakage probe's
+    /// trace ([`probe::record_keystream`]), so a secret-dependent coin
+    /// draw shows there as an extra refill.
     fn refill(&mut self) {
         let mut nonce = [0u8; 12];
         nonce[..4].copy_from_slice(&NONCE_TAG); // panic-allow(constant split of [u8; 12])
         nonce[4..].copy_from_slice(&(self.block >> 32).to_le_bytes()); // panic-allow(constant split of [u8; 12])
         self.keystream.fill(0);
         chacha20_xor(&self.key, &nonce, self.block as u32, &mut self.keystream);
+        probe::record_keystream(BUF_LEN as u64);
         self.block += REFILL_BLOCKS;
         self.used = 0;
     }

@@ -1,14 +1,13 @@
 //! Key and ciphertext types (all NTT-domain, as in the paper).
 //!
-//! Since the `Poly` redesign these containers store [`Poly<Ntt>`] — the
-//! domain is part of the type, so a key can no longer be built from (or
-//! mistaken for) time-domain coefficients. The serialized wire format is
-//! unchanged: `magic ‖ param-id ‖ packed coefficients`.
+//! These containers store NTT-domain [`Poly`] values, which carry their
+//! modulus and are always reduced. The serialized wire format is
+//! `magic ‖ param-id ‖ packed coefficients`.
 
 use rlwe_zq::Modulus;
 
 use crate::params::{ParamSet, Params};
-use crate::poly::{Ntt, Poly};
+use crate::poly::Poly;
 use crate::serialize::{pack_coeffs_into, unpack_coeffs};
 use crate::RlweError;
 
@@ -49,7 +48,7 @@ fn from_bytes_generic(
     magic: u8,
     bytes: &[u8],
     n_polys: usize,
-) -> Result<(Params, Vec<Poly<Ntt>>), RlweError> {
+) -> Result<(Params, Vec<Poly>), RlweError> {
     if bytes.len() < 2 {
         return Err(RlweError::Malformed {
             reason: "truncated header".into(),
@@ -86,9 +85,9 @@ fn from_bytes_generic(
 pub struct PublicKey {
     pub(crate) params: Params,
     /// The uniform public polynomial ã (NTT domain).
-    pub(crate) a_hat: Poly<Ntt>,
+    pub(crate) a_hat: Poly,
     /// `p̃ = r̃₁ − ã ∘ r̃₂` (NTT domain).
-    pub(crate) p_hat: Poly<Ntt>,
+    pub(crate) p_hat: Poly,
 }
 
 impl PublicKey {
@@ -98,11 +97,7 @@ impl PublicKey {
     ///
     /// [`RlweError::ParamMismatch`] if either polynomial's length or
     /// modulus disagrees with `params`.
-    pub fn from_polys(
-        params: Params,
-        a_hat: Poly<Ntt>,
-        p_hat: Poly<Ntt>,
-    ) -> Result<Self, RlweError> {
+    pub fn from_polys(params: Params, a_hat: Poly, p_hat: Poly) -> Result<Self, RlweError> {
         check_poly(&params, &a_hat)?;
         check_poly(&params, &p_hat)?;
         Ok(Self {
@@ -118,12 +113,12 @@ impl PublicKey {
     }
 
     /// The NTT-domain `ã` polynomial.
-    pub fn a_poly(&self) -> &Poly<Ntt> {
+    pub fn a_poly(&self) -> &Poly {
         &self.a_hat
     }
 
     /// The NTT-domain `p̃` polynomial.
-    pub fn p_poly(&self) -> &Poly<Ntt> {
+    pub fn p_poly(&self) -> &Poly {
         &self.p_hat
     }
 
@@ -161,7 +156,7 @@ impl PublicKey {
 }
 
 /// Validates a polynomial against a parameter set.
-fn check_poly(params: &Params, poly: &Poly<Ntt>) -> Result<(), RlweError> {
+fn check_poly(params: &Params, poly: &Poly) -> Result<(), RlweError> {
     if poly.len() != params.n() || poly.q() != params.q() {
         return Err(RlweError::ParamMismatch);
     }
@@ -172,7 +167,7 @@ fn check_poly(params: &Params, poly: &Poly<Ntt>) -> Result<(), RlweError> {
 #[derive(Clone, PartialEq, Eq)]
 pub struct SecretKey {
     pub(crate) params: Params,
-    pub(crate) r2_hat: Poly<Ntt>,
+    pub(crate) r2_hat: Poly,
 }
 
 impl SecretKey {
@@ -182,7 +177,7 @@ impl SecretKey {
     ///
     /// [`RlweError::ParamMismatch`] if the polynomial's length or modulus
     /// disagrees with `params`.
-    pub fn from_poly(params: Params, r2_hat: Poly<Ntt>) -> Result<Self, RlweError> {
+    pub fn from_poly(params: Params, r2_hat: Poly) -> Result<Self, RlweError> {
         check_poly(&params, &r2_hat)?;
         Ok(Self { params, r2_hat })
     }
@@ -193,7 +188,7 @@ impl SecretKey {
     }
 
     /// The NTT-domain secret polynomial `r̃₂`.
-    pub fn r2_poly(&self) -> &Poly<Ntt> {
+    pub fn r2_poly(&self) -> &Poly {
         &self.r2_hat
     }
 
@@ -252,8 +247,8 @@ pub struct KeyPair {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Ciphertext {
     pub(crate) params: Params,
-    pub(crate) c1_hat: Poly<Ntt>,
-    pub(crate) c2_hat: Poly<Ntt>,
+    pub(crate) c1_hat: Poly,
+    pub(crate) c2_hat: Poly,
 }
 
 impl Ciphertext {
@@ -263,11 +258,7 @@ impl Ciphertext {
     ///
     /// [`RlweError::ParamMismatch`] if either polynomial's length or
     /// modulus disagrees with `params`.
-    pub fn from_polys(
-        params: Params,
-        c1_hat: Poly<Ntt>,
-        c2_hat: Poly<Ntt>,
-    ) -> Result<Self, RlweError> {
+    pub fn from_polys(params: Params, c1_hat: Poly, c2_hat: Poly) -> Result<Self, RlweError> {
         check_poly(&params, &c1_hat)?;
         check_poly(&params, &c2_hat)?;
         Ok(Self {
@@ -283,12 +274,12 @@ impl Ciphertext {
     }
 
     /// The NTT-domain `c̃₁` polynomial.
-    pub fn c1_poly(&self) -> &Poly<Ntt> {
+    pub fn c1_poly(&self) -> &Poly {
         &self.c1_hat
     }
 
     /// The NTT-domain `c̃₂` polynomial.
-    pub fn c2_poly(&self) -> &Poly<Ntt> {
+    pub fn c2_poly(&self) -> &Poly {
         &self.c2_hat
     }
 
@@ -327,7 +318,7 @@ impl Ciphertext {
 mod tests {
     use super::*;
 
-    fn demo_poly(n: usize, q: u32, seed: u32) -> Poly<Ntt> {
+    fn demo_poly(n: usize, q: u32, seed: u32) -> Poly {
         let modulus = Modulus::new(q).unwrap();
         Poly::from_vec(
             (0..n as u32)

@@ -66,7 +66,7 @@ pub use encode::{
 pub use error::RlweError;
 pub use keys::{Ciphertext, KeyPair, PublicKey, SecretKey};
 pub use params::{ParamSet, Params};
-pub use poly::{Coeff, Domain, Ntt, Poly};
+pub use poly::Poly;
 pub use rlwe_ntt::PolyScratch;
 pub use rlwe_zq::ReducerKind;
 pub use serialize::{pack_coeffs, unpack_coeffs};

@@ -1,97 +1,53 @@
-//! [`Poly`]: a ring element that knows its domain, modulus and length.
+//! [`Poly`]: an NTT-domain ring element that knows its modulus and length.
 //!
-//! The paper's whole pipeline hinges on polynomials living *permanently in
-//! the NTT domain* (keys, ciphertexts) while error/message polynomials are
-//! born in the coefficient domain and cross over exactly once. Passing
-//! untyped `Vec<u32>` around makes that discipline a comment instead of a
-//! contract; `Poly<Coeff>` and `Poly<Ntt>` make it a compile error:
-//!
-//! ```text
-//!            forward(plan)
-//!   Poly<Coeff> ──────────────▶ Poly<Ntt>
-//!        ▲                          │
-//!        └──────────────────────────┘
-//!            inverse(plan)
-//!
-//!   Poly<Coeff>: add_assign, sub_assign            (time domain)
-//!   Poly<Ntt>:   add_assign, sub_assign,
-//!                pointwise_mul_assign, mul_add_assign   (NTT domain)
-//! ```
-//!
-//! The domain markers are zero-sized: `Poly<D>` has exactly the layout of
-//! `(Vec<u32>, Modulus)`, and the transforms consume and re-tag the same
-//! heap buffer — the typestate costs nothing at run time.
+//! The paper's whole pipeline keeps keys and ciphertexts *permanently in
+//! the NTT domain* (bit-reversed evaluation order): the scheme's error and
+//! message polynomials are sampled into scratch `Vec<u32>` buffers (keygen's
+//! `r₂` into the secret key's own buffer) and cross over exactly once,
+//! inside the context's keygen/encrypt bodies, and only the decryption's
+//! one inverse transform leaves the domain — into a scratch buffer again.
+//! So every `Poly` a caller can see holds NTT-domain values;
+//! the type carries the modulus with the coefficients and enforces the
+//! invariant below.
 //!
 //! Invariant: every stored coefficient is reduced (`< q`). All constructors
 //! validate or inherit reduction, and mutation goes through modular ops, so
 //! downstream code (serialization, NTT kernels) can rely on it. The NTT
 //! kernels themselves run on **lazy** `[0, 2q)`/`[0, 4q)` coefficients
-//! internally (`rlwe_zq::lazy`), but every crossing a `Poly` exposes —
-//! [`Poly::forward`], [`Poly::inverse`], and the plan's `forward_into`/
-//! `inverse_into`/`negacyclic_mul_into` the scheme layer drives — ends in
-//! a masked normalization, so the unreduced domain never escapes into a
-//! stored `Poly`.
+//! internally (`rlwe_zq::lazy`), but every transform the scheme layer
+//! drives ends in a masked normalization, so the unreduced domain never
+//! escapes into a stored `Poly`.
 
-use std::marker::PhantomData;
-
-use rlwe_ntt::{pointwise, NttPlan};
+use rlwe_ntt::pointwise;
 use rlwe_zq::Modulus;
 
 use crate::RlweError;
 
-mod sealed {
-    pub trait Sealed {}
-    impl Sealed for super::Coeff {}
-    impl Sealed for super::Ntt {}
-}
-
-/// The typestate of a [`Poly`]: either [`Coeff`] or [`Ntt`]. Sealed — the
-/// two-domain picture is a property of the scheme, not an extension point.
-pub trait Domain: sealed::Sealed + Copy + Clone + std::fmt::Debug + 'static {}
-
-/// Marker: natural-order coefficient (time) domain.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Coeff;
-
-/// Marker: bit-reversed NTT (evaluation) domain.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Ntt;
-
-impl Domain for Coeff {}
-impl Domain for Ntt {}
-
-/// A polynomial over `Z_q[x]/(xⁿ + 1)` tagged with its domain `D`.
+/// A polynomial over `Z_q[x]/(xⁿ + 1)` in the NTT domain.
 ///
 /// # Example
 ///
 /// ```
-/// use rlwe_core::{Coeff, Poly};
-/// use rlwe_ntt::NttPlan;
+/// use rlwe_core::Poly;
 /// use rlwe_zq::Modulus;
 ///
 /// # fn main() -> Result<(), rlwe_core::RlweError> {
 /// let q = Modulus::new(7681).unwrap();
-/// let plan = NttPlan::new(256, 7681)?;
-/// let a = Poly::<Coeff>::from_vec((0..256).map(|i| i * 3 % 7681).collect(), q)?;
-/// let b = a.clone();
-/// // The domain crossing is explicit and consumes the value: there is no
-/// // way to pointwise-multiply time-domain polynomials by accident.
-/// let mut a_hat = a.forward(&plan)?;
-/// let b_hat = b.forward(&plan)?;
-/// a_hat.pointwise_mul_assign(&b_hat)?;
-/// let product = a_hat.inverse(&plan)?;   // back to coefficients
-/// assert_eq!(product.len(), 256);
+/// let mut a = Poly::from_vec(vec![1, 7680, 3], q)?;
+/// a.add_assign(&Poly::from_vec(vec![7680, 1, 4], q)?)?;
+/// assert_eq!(a.as_slice(), &[0, 0, 7]);
+/// // Unreduced coefficients are rejected at construction.
+/// assert!(Poly::from_vec(vec![7681], q).is_err());
 /// # Ok(())
 /// # }
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Poly<D: Domain> {
+pub struct Poly {
     coeffs: Vec<u32>,
     modulus: Modulus,
-    _domain: PhantomData<D>,
 }
 
-impl<D: Domain> Poly<D> {
+impl Poly {
     /// Wraps a coefficient vector, validating that every value is reduced
     /// modulo the given modulus.
     ///
@@ -115,11 +71,7 @@ impl<D: Domain> Poly<D> {
     /// serializer and the scheme's sampling paths guarantee reduction).
     pub(crate) fn from_vec_unchecked(coeffs: Vec<u32>, modulus: Modulus) -> Self {
         debug_assert!(coeffs.iter().all(|&c| c < modulus.value()));
-        Self {
-            coeffs,
-            modulus,
-            _domain: PhantomData,
-        }
+        Self { coeffs, modulus }
     }
 
     /// The zero polynomial of length `n`.
@@ -128,7 +80,6 @@ impl<D: Domain> Poly<D> {
         Self {
             coeffs: vec![0u32; n],
             modulus,
-            _domain: PhantomData,
         }
     }
 
@@ -156,17 +107,10 @@ impl<D: Domain> Poly<D> {
         self.modulus.value()
     }
 
-    /// The coefficients as a slice (reduced, in this domain's order).
+    /// The coefficients as a slice (reduced, bit-reversed NTT order).
     #[must_use]
     pub fn as_slice(&self) -> &[u32] {
         &self.coeffs
-    }
-
-    /// Unwraps into the raw coefficient vector, discarding the domain tag
-    /// (the escape hatch toward the deprecated raw-slice APIs).
-    #[must_use]
-    pub fn into_vec(self) -> Vec<u32> {
-        self.coeffs
     }
 
     /// Mutable access for crate-internal kernels that preserve reduction.
@@ -195,7 +139,8 @@ impl<D: Domain> Poly<D> {
         Ok(())
     }
 
-    /// `self ← self + rhs` (valid in either domain: the NTT is linear).
+    /// `self ← self + rhs` — the same sum in either domain, since the NTT
+    /// is linear (what [`crate::RlweContext::add_ciphertexts`] relies on).
     ///
     /// # Errors
     ///
@@ -205,198 +150,62 @@ impl<D: Domain> Poly<D> {
         pointwise::add_assign(&mut self.coeffs, &rhs.coeffs, &self.modulus)?;
         Ok(())
     }
-
-    /// `self ← self − rhs` (valid in either domain).
-    ///
-    /// # Errors
-    ///
-    /// [`RlweError::ParamMismatch`] if lengths or moduli differ.
-    pub fn sub_assign(&mut self, rhs: &Self) -> Result<(), RlweError> {
-        self.check_compatible(rhs)?;
-        pointwise::sub_assign(&mut self.coeffs, &rhs.coeffs, &self.modulus)?;
-        Ok(())
-    }
-
-    /// Re-tags the same storage with another domain marker — private: the
-    /// public crossings are [`Poly::forward`] and [`Poly::inverse`].
-    fn retag<E: Domain>(self) -> Poly<E> {
-        Poly {
-            coeffs: self.coeffs,
-            modulus: self.modulus,
-            _domain: PhantomData,
-        }
-    }
-}
-
-impl Poly<Coeff> {
-    /// Crosses into the NTT domain, consuming the coefficient-domain value
-    /// (in place — no new allocation, the buffer is re-tagged).
-    ///
-    /// # Errors
-    ///
-    /// * [`RlweError::ParamMismatch`] if the plan's modulus differs.
-    /// * [`RlweError::Ntt`] if the plan's dimension differs.
-    pub fn forward(mut self, plan: &NttPlan) -> Result<Poly<Ntt>, RlweError> {
-        if plan.q() != self.modulus.value() {
-            return Err(RlweError::ParamMismatch);
-        }
-        if plan.n() != self.coeffs.len() {
-            return Err(RlweError::Ntt(rlwe_ntt::NttError::LengthMismatch {
-                expected: plan.n(),
-                got: self.coeffs.len(),
-            }));
-        }
-        plan.forward(&mut self.coeffs);
-        Ok(self.retag())
-    }
-}
-
-impl Poly<Ntt> {
-    /// Crosses back into the coefficient domain, consuming the NTT-domain
-    /// value (in place — no new allocation).
-    ///
-    /// # Errors
-    ///
-    /// * [`RlweError::ParamMismatch`] if the plan's modulus differs.
-    /// * [`RlweError::Ntt`] if the plan's dimension differs.
-    pub fn inverse(mut self, plan: &NttPlan) -> Result<Poly<Coeff>, RlweError> {
-        if plan.q() != self.modulus.value() {
-            return Err(RlweError::ParamMismatch);
-        }
-        if plan.n() != self.coeffs.len() {
-            return Err(RlweError::Ntt(rlwe_ntt::NttError::LengthMismatch {
-                expected: plan.n(),
-                got: self.coeffs.len(),
-            }));
-        }
-        plan.inverse(&mut self.coeffs);
-        Ok(self.retag())
-    }
-
-    /// `self ← self ∘ rhs` — pointwise product, which in the NTT domain
-    /// *is* ring multiplication. Only `Poly<Ntt>` has this method; trying
-    /// it on coefficient-domain values is a type error, not a silent bug.
-    ///
-    /// # Errors
-    ///
-    /// [`RlweError::ParamMismatch`] if lengths or moduli differ.
-    pub fn pointwise_mul_assign(&mut self, rhs: &Self) -> Result<(), RlweError> {
-        self.check_compatible(rhs)?;
-        pointwise::mul_assign(&mut self.coeffs, &rhs.coeffs, &self.modulus)?;
-        Ok(())
-    }
-
-    /// `self ← a ∘ b + self` — the fused shape of both ciphertext
-    /// computations (`ã∘ẽ₁ + ẽ₂`, `p̃∘ẽ₁ + ẽ₃`).
-    ///
-    /// # Errors
-    ///
-    /// [`RlweError::ParamMismatch`] if lengths or moduli differ.
-    pub fn mul_add_assign(&mut self, a: &Self, b: &Self) -> Result<(), RlweError> {
-        self.check_compatible(a)?;
-        self.check_compatible(b)?;
-        pointwise::mul_add_assign(&mut self.coeffs, &a.coeffs, &b.coeffs, &self.modulus)?;
-        Ok(())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rlwe_ntt::NttPlan;
 
     fn q() -> Modulus {
         Modulus::new(7681).unwrap()
     }
 
-    fn plan() -> NttPlan {
-        NttPlan::new(64, 7681).unwrap()
-    }
-
-    fn demo(seed: u32) -> Poly<Coeff> {
-        Poly::from_vec((0..64u32).map(|i| (i * seed + 1) % 7681).collect(), q()).unwrap()
+    fn demo(seed: u32) -> Vec<u32> {
+        (0..64u32).map(|i| (i * seed + 1) % 7681).collect()
     }
 
     #[test]
     fn from_vec_validates_reduction() {
-        assert!(Poly::<Coeff>::from_vec(vec![0, 7680], q()).is_ok());
-        let err = Poly::<Coeff>::from_vec(vec![0, 7681], q()).unwrap_err();
+        assert!(Poly::from_vec(vec![0, 7680], q()).is_ok());
+        let err = Poly::from_vec(vec![0, 7681], q()).unwrap_err();
         assert!(matches!(err, RlweError::Malformed { .. }));
     }
 
     #[test]
-    fn forward_inverse_round_trip_preserves_value_and_storage() {
-        let p = demo(31);
-        let original = p.clone();
-        let ptr = p.as_slice().as_ptr();
-        let hat = p.forward(&plan()).unwrap();
-        assert_eq!(hat.as_slice().as_ptr(), ptr, "transform reuses the buffer");
-        let back = hat.inverse(&plan()).unwrap();
-        assert_eq!(back, original);
-    }
-
-    #[test]
-    fn ntt_mul_matches_schoolbook() {
-        let a = demo(3);
-        let b = demo(19);
-        let want = rlwe_ntt::schoolbook::negacyclic_mul(a.as_slice(), b.as_slice(), 7681);
-        let mut a_hat = a.forward(&plan()).unwrap();
-        let b_hat = b.forward(&plan()).unwrap();
-        a_hat.pointwise_mul_assign(&b_hat).unwrap();
-        let c = a_hat.inverse(&plan()).unwrap();
-        assert_eq!(c.as_slice(), &want[..]);
-    }
-
-    #[test]
-    fn mul_add_assign_matches_separate_ops() {
-        let p = plan();
-        let a = demo(5).forward(&p).unwrap();
-        let b = demo(7).forward(&p).unwrap();
-        let mut acc = demo(11).forward(&p).unwrap();
-        let mut manual = acc.clone();
-        acc.mul_add_assign(&a, &b).unwrap();
-        let mut prod = a.clone();
-        prod.pointwise_mul_assign(&b).unwrap();
-        manual.add_assign(&prod).unwrap();
-        assert_eq!(acc, manual);
-    }
-
-    #[test]
     fn mismatched_operands_error() {
-        let a = demo(3);
-        let short = Poly::<Coeff>::from_vec(vec![1, 2, 3], q()).unwrap();
-        let other_q = Poly::<Coeff>::zeroed(64, Modulus::new(12289).unwrap());
-        let mut x = a.clone();
+        let mut x = Poly::from_vec(demo(3), q()).unwrap();
+        let short = Poly::from_vec(vec![1, 2, 3], q()).unwrap();
+        let other_q = Poly::zeroed(64, Modulus::new(12289).unwrap());
         assert!(matches!(
             x.add_assign(&short),
             Err(RlweError::ParamMismatch)
         ));
         assert!(matches!(
-            x.sub_assign(&other_q),
+            x.add_assign(&other_q),
             Err(RlweError::ParamMismatch)
         ));
-    }
-
-    #[test]
-    fn wrong_plan_is_rejected_at_the_crossing() {
-        let a = demo(3);
-        let wrong_q = NttPlan::new(64, 12289).unwrap();
-        assert!(matches!(
-            a.clone().forward(&wrong_q),
-            Err(RlweError::ParamMismatch)
-        ));
-        let wrong_n = NttPlan::new(128, 7681).unwrap();
-        assert!(matches!(a.forward(&wrong_n), Err(RlweError::Ntt(_))));
+        assert_eq!(
+            x.as_slice(),
+            &demo(3)[..],
+            "a refused operand leaves self as it was"
+        );
     }
 
     #[test]
     fn add_assign_agrees_across_domains() {
-        // Linearity: NTT(a + b) == NTT(a) + NTT(b).
-        let p = plan();
-        let mut time = demo(3);
-        time.add_assign(&demo(19)).unwrap();
-        let time_then_forward = time.forward(&p).unwrap();
-        let mut freq = demo(3).forward(&p).unwrap();
-        freq.add_assign(&demo(19).forward(&p).unwrap()).unwrap();
-        assert_eq!(time_then_forward, freq);
+        // Linearity: NTT(a + b) == NTT(a) + NTT(b), which is why adding
+        // two ciphertexts' NTT-domain components adds their plaintexts.
+        let plan = NttPlan::new(64, 7681).unwrap();
+        let sum: Vec<u32> = demo(3)
+            .iter()
+            .zip(demo(19))
+            .map(|(a, b)| (a + b) % 7681)
+            .collect();
+        let want = Poly::from_vec(plan.forward_copy(&sum), q()).unwrap();
+        let mut got = Poly::from_vec(plan.forward_copy(&demo(3)), q()).unwrap();
+        got.add_assign(&Poly::from_vec(plan.forward_copy(&demo(19)), q()).unwrap())
+            .unwrap();
+        assert_eq!(got, want);
     }
 }

@@ -1,16 +1,19 @@
-//! A deterministic hash-call-shape probe for leakage regression tests.
+//! A deterministic hash- and coin-shape probe for leakage regression tests.
 //!
 //! Timing side channels in the layers above this crate usually surface as
 //! *shape* differences: a code path that hashes a different number of
-//! messages, or messages of different lengths, depending on a secret. The
-//! probe records the byte length of every [`Sha256`](crate::Sha256)
-//! finalization on the current thread, so a test can run an operation
-//! twice — once down each secret-dependent path — and assert the two
-//! traces are identical. Unlike a wall-clock measurement this is exact
-//! and deterministic, so it belongs in CI.
+//! messages, or messages of different lengths, or draws more random coins,
+//! depending on a secret. The probe records the byte length of every
+//! [`Sha256`](crate::Sha256) finalization on the current thread, and one
+//! [`KEYSTREAM_TAG`]-tagged entry per keystream refill of a DRBG that
+//! reports through [`record_keystream`] (`rlwe_core::drbg::HashDrbg`
+//! does), so a test can run an operation twice — once down each
+//! secret-dependent path — and assert the two traces are identical.
+//! Unlike a wall-clock measurement this is exact and deterministic, so it
+//! belongs in CI.
 //!
 //! Recording is per-thread and off by default; in a process that never
-//! probes, the cost per digest is a single relaxed atomic load.
+//! probes, the cost per digest or refill is a single relaxed atomic load.
 //!
 //! # Example
 //!
@@ -43,12 +46,24 @@ pub fn start() {
     TRACE.with(|t| *t.borrow_mut() = Some(Vec::new()));
 }
 
-/// Stops recording and returns the trace: one entry per SHA-256
-/// finalization on this thread since [`start`], holding the total number
-/// of message bytes that digest consumed. Returns an empty vector when
+/// Stops recording and returns the trace, in call order: one entry per
+/// SHA-256 finalization on this thread since [`start`], holding the total
+/// number of message bytes that digest consumed, and one per keystream
+/// refill, holding `KEYSTREAM_TAG | bytes`. Returns an empty vector when
 /// recording was never started.
 pub fn take() -> Vec<u64> {
     TRACE.with(|t| t.borrow_mut().take().unwrap_or_default())
+}
+
+/// Marks a keystream-refill entry: no digest reaches 2⁶³ bytes, so the
+/// tag bit keeps the two kinds of entry apart.
+pub const KEYSTREAM_TAG: u64 = 1 << 63;
+
+/// Called by a DRBG each time it generates `bytes` of keystream, so coin
+/// draws show in the trace next to the hash calls.
+#[inline]
+pub fn record_keystream(bytes: u64) {
+    record(KEYSTREAM_TAG | bytes);
 }
 
 /// Called by `Sha256::finalize` with the digested message length.
@@ -83,6 +98,15 @@ mod tests {
         // Inner digest: ipad block (64) + message; outer: opad block +
         // inner digest (32).
         assert_eq!(trace, vec![64 + 10, 64 + 32]);
+    }
+
+    #[test]
+    fn keystream_refills_are_tagged_and_ordered_with_digests() {
+        start();
+        Sha256::digest(b"ab");
+        record_keystream(1024);
+        Sha256::digest(b"c");
+        assert_eq!(take(), vec![2, KEYSTREAM_TAG | 1024, 1]);
     }
 
     #[test]

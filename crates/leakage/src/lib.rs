@@ -348,7 +348,6 @@ impl DecapClasses {
         } else {
             &self.reject_pool
         };
-        // ct-allow(the index is a public selector word choosing a public ciphertext; `self` is tainted only by the scratch out-parameter)
         let ct = &pool[(self.selector.next_word() as usize) % pool.len()];
         let start = Instant::now();
         let ss = self

@@ -345,8 +345,8 @@ fn ntt_trace_depends_only_on_the_ring_dimension() {
 #[test]
 fn decapsulation_hash_shape_is_identical_on_accept_and_reject() {
     // The CtCdt rung makes the re-encryption's random-bit consumption
-    // fixed, and the ChaCha20 DRBG records no hash calls, so the
-    // *entire* decapsulation hash trace (the FO hashes) must be
+    // fixed, so the *entire* decapsulation trace — the FO hashes and
+    // the re-encryption DRBG's keystream refills — must be
     // input-independent.
     let ctx = RlweContext::builder(ParamSet::P1)
         .sampler(SamplerKind::CtCdt)
@@ -365,8 +365,12 @@ fn decapsulation_hash_shape_is_identical_on_accept_and_reject() {
     // The two runs really did take opposite paths...
     assert_eq!(accept_key, key, "fixture ciphertext must accept");
     assert_ne!(reject_key, key, "mauled ciphertext must reject");
-    // ...yet performed exactly the same hash calls.
+    // ...yet performed exactly the same hash calls and coin draws.
     assert!(!accept_trace.is_empty());
+    assert!(
+        accept_trace.iter().any(|&e| e & probe::KEYSTREAM_TAG != 0),
+        "the re-encryption's coin draws must reach the trace"
+    );
     assert_eq!(
         accept_trace, reject_trace,
         "hash-call shape differed between accept and reject"

@@ -6,24 +6,26 @@
 //! immediate constants. Something still has to pick the instantiation at
 //! runtime from a `(n, q)` pair — exactly once, at construction, never
 //! inside a kernel. `AnyNttPlan` is that single dispatch point: an enum
-//! over the three sealed reducer instantiations with the same call
-//! surface as [`NttPlan`], selected by [`AnyNttPlan::new`]
-//! (`q = 7681 → Q7681`, `q = 12289 → Q12289`, anything else → the
-//! runtime-Barrett fallback).
+//! over the three sealed reducer instantiations, selected by
+//! [`AnyNttPlan::new`] (`q = 7681 → Q7681`, `q = 12289 → Q12289`,
+//! anything else → the runtime-Barrett fallback).
 //!
-//! `rlwe-core`'s `RlweContext` stores one of these and forwards every
-//! transform through it; the variant actually selected is observable via
-//! [`AnyNttPlan::kind`], which CI pins for P1/P2.
+//! `rlwe-core`'s `RlweContext` stores one of these and matches on its
+//! variants to monomorphize each scheme operation; the variant actually
+//! selected is observable via [`AnyNttPlan::kind`], which CI pins for
+//! P1/P2. The methods here are the transforms that callers holding only
+//! the enum run: the serving pair (`forward_avx2`/`inverse_avx2`), the
+//! scalar reference (`forward`/`inverse`) and the traced kernels the
+//! leakage gates count. Everything else lives on the typed [`NttPlan`].
 
 use rlwe_zq::reduce::{BarrettGeneric, Q12289, Q7681};
 #[cfg(doc)]
 use rlwe_zq::Reducer;
-use rlwe_zq::{Modulus, ReducerKind};
+use rlwe_zq::ReducerKind;
 
 use crate::error::NttError;
 use crate::plan::NttPlan;
 use crate::trace::NttOpTrace;
-use crate::PolyScratch;
 
 /// An [`NttPlan`] over whichever [`Reducer`] matches its modulus —
 /// specialized for the paper's primes, runtime Barrett otherwise.
@@ -106,60 +108,6 @@ impl AnyNttPlan {
         }
     }
 
-    /// The ring dimension n.
-    #[inline]
-    pub fn n(&self) -> usize {
-        with_plan!(self, |p| p.n())
-    }
-
-    /// log₂(n).
-    #[inline]
-    pub fn log_n(&self) -> u32 {
-        with_plan!(self, |p| p.log_n())
-    }
-
-    /// The raw modulus value q.
-    #[inline]
-    pub fn q(&self) -> u32 {
-        with_plan!(self, |p| p.q())
-    }
-
-    /// The modulus context.
-    #[inline]
-    pub fn modulus(&self) -> &Modulus {
-        with_plan!(self, |p| p.modulus())
-    }
-
-    /// The 2n-th primitive root ψ used by this plan.
-    #[inline]
-    pub fn psi(&self) -> u32 {
-        with_plan!(self, |p| p.psi())
-    }
-
-    /// `n⁻¹ mod q`.
-    #[inline]
-    pub fn n_inv(&self) -> u32 {
-        with_plan!(self, |p| p.n_inv())
-    }
-
-    /// `2q`, precomputed for the lazy butterflies.
-    #[inline]
-    pub fn two_q(&self) -> u32 {
-        with_plan!(self, |p| p.two_q())
-    }
-
-    /// Forward twiddle table (identical across reducers).
-    #[inline]
-    pub fn forward_twiddles(&self) -> &[rlwe_zq::shoup::ShoupPair] {
-        with_plan!(self, |p| p.forward_twiddles())
-    }
-
-    /// Inverse twiddle table (identical across reducers).
-    #[inline]
-    pub fn inverse_twiddles(&self) -> &[rlwe_zq::shoup::ShoupPair] {
-        with_plan!(self, |p| p.inverse_twiddles())
-    }
-
     /// In-place forward NTT through the selected instantiation.
     ///
     /// # Panics
@@ -167,16 +115,6 @@ impl AnyNttPlan {
     /// Panics if `a.len() != n`.
     pub fn forward(&self, a: &mut [u32]) {
         with_plan!(self, |p| p.forward(a))
-    }
-
-    /// Forward NTT without the final normalization sweep (`[0, 4q)`
-    /// outputs).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `a.len() != n`.
-    pub fn forward_lazy(&self, a: &mut [u32]) {
-        with_plan!(self, |p| p.forward_lazy(a))
     }
 
     /// In-place inverse NTT through the selected instantiation.
@@ -206,51 +144,6 @@ impl AnyNttPlan {
     /// Panics if `a.len() != n`.
     pub fn inverse_traced(&self, a: &mut [u32]) -> NttOpTrace {
         with_plan!(self, |p| p.inverse_traced(a))
-    }
-
-    /// Convenience: forward-transforms a copy of `a`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `a.len() != n`.
-    pub fn forward_copy(&self, a: &[u32]) -> Vec<u32> {
-        with_plan!(self, |p| p.forward_copy(a))
-    }
-
-    /// Convenience: inverse-transforms a copy of `a`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `a.len() != n`.
-    pub fn inverse_copy(&self, a: &[u32]) -> Vec<u32> {
-        with_plan!(self, |p| p.inverse_copy(a))
-    }
-
-    /// Negacyclic polynomial multiplication through the selected
-    /// instantiation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either input's length differs from n.
-    pub fn negacyclic_mul(&self, a: &[u32], b: &[u32]) -> Vec<u32> {
-        with_plan!(self, |p| p.negacyclic_mul(a, b))
-    }
-
-    /// Allocation-free negacyclic multiplication (see
-    /// [`NttPlan::negacyclic_mul_into`]).
-    ///
-    /// # Errors
-    ///
-    /// [`NttError::LengthMismatch`] if any operand length differs from
-    /// `n`.
-    pub fn negacyclic_mul_into(
-        &self,
-        a: &[u32],
-        b: &[u32],
-        out: &mut [u32],
-        scratch: &mut PolyScratch,
-    ) -> Result<(), NttError> {
-        with_plan!(self, |p| p.negacyclic_mul_into(a, b, out, scratch))
     }
 
     /// Whether the selected plan carries AVX2 twiddle tables (host
@@ -338,22 +231,35 @@ mod tests {
 
     #[test]
     fn dispatched_transforms_match_the_generic_plan() {
-        for (n, q) in [(256usize, 7681u32), (512, 12289)] {
+        for (n, q) in [(256usize, 7681u32), (512, 12289), (256, 8383489)] {
             let any = AnyNttPlan::new(n, q).unwrap();
             let generic = NttPlan::new(n, q).unwrap();
-            assert_eq!(any.n(), n);
-            assert_eq!(any.q(), q);
-            assert_eq!(any.forward_twiddles(), generic.forward_twiddles());
             let a: Vec<u32> = (0..n as u32).map(|i| (i * 13 + 7) % q).collect();
-            assert_eq!(any.forward_copy(&a), generic.forward_copy(&a));
-            assert_eq!(any.inverse_copy(&a), generic.inverse_copy(&a));
-            let b: Vec<u32> = (0..n as u32).map(|i| (i * 5 + 1) % q).collect();
-            assert_eq!(any.negacyclic_mul(&a, &b), generic.negacyclic_mul(&a, &b));
-            let mut out = vec![0u32; n];
-            let mut scratch = PolyScratch::new(n);
-            any.negacyclic_mul_into(&a, &b, &mut out, &mut scratch)
-                .unwrap();
-            assert_eq!(out, generic.negacyclic_mul(&a, &b));
+            let want_fwd = generic.forward_copy(&a);
+            let want_inv = generic.inverse_copy(&a);
+
+            let mut x = a.clone();
+            any.forward(&mut x);
+            assert_eq!(x, want_fwd, "forward, q = {q}");
+            any.inverse(&mut x);
+            assert_eq!(x, a, "inverse, q = {q}");
+
+            let mut x = a.clone();
+            let fwd_trace = any.forward_traced(&mut x);
+            assert_eq!(x, want_fwd, "forward_traced, q = {q}");
+            assert_eq!(fwd_trace, NttOpTrace::expected_forward(n));
+            let mut x = a.clone();
+            let inv_trace = any.inverse_traced(&mut x);
+            assert_eq!(x, want_inv, "inverse_traced, q = {q}");
+            assert_eq!(inv_trace, NttOpTrace::expected_inverse(n));
+
+            assert_eq!(any.has_avx2(), generic.has_avx2());
+            let mut x = a.clone();
+            any.forward_avx2(&mut x);
+            assert_eq!(x, want_fwd, "forward_avx2, q = {q}");
+            let mut x = a.clone();
+            any.inverse_avx2(&mut x);
+            assert_eq!(x, want_inv, "inverse_avx2, q = {q}");
         }
     }
 }

@@ -7,9 +7,10 @@
 //! the butterflies — the `w = √w_m` recurrence of the paper's Algorithms
 //! 3 and 4.
 //!
-//! Functionally identical transform implementations are provided: the
-//! two the scheme runs, and the paper's optimisation ladder, which the
-//! table binaries and the Cortex-M4F cost model reproduce:
+//! Four functionally identical transform implementations are provided:
+//! the two the scheme runs, and the two rungs of the paper's §III-D
+//! optimisation ladder that the NTT bench (`crates/bench/benches/ntt.rs`)
+//! times against the reference:
 //!
 //! * [`NttPlan::forward`] / [`NttPlan::inverse`] — the reference scalar
 //!   in-place transforms (Cooley-Tukey decimation-in-time forward, natural →
@@ -33,8 +34,8 @@
 //! (skippable via [`NttPlan::forward_lazy`] when the consumer reduces
 //! anyway), the inverse inside its merged final stage, where the `n⁻¹`
 //! scaling is folded into the last butterflies. This requires `q < 2³⁰`
-//! (enforced by [`NttPlan::new`]); the halfword-packed layouts further
-//! require `q < 2¹⁴`, amply satisfied by the paper's moduli.
+//! (enforced by [`NttPlan::new`]); the halfword-packed layout further
+//! requires `q < 2¹⁴`, amply satisfied by the paper's moduli.
 //! [`NttPlan::forward_traced`]/[`NttPlan::inverse_traced`] return the
 //! exact per-kind operation counts ([`NttOpTrace`]) so the leakage
 //! harness can pin the transforms' input-independence in CI.
@@ -46,7 +47,8 @@
 //! special-form primes into the butterflies as compile-time constants —
 //! identical operation structure, bit-identical outputs. [`AnyNttPlan`]
 //! performs the `(n, q) → instantiation` selection exactly once, at
-//! construction.
+//! construction, and carries only the transforms the scheme, the leakage
+//! gates and the loopback benchmark run through it.
 //!
 //! A schoolbook negacyclic multiplier ([`schoolbook`]) is the independent
 //! correctness oracle: every variant must agree with it exactly.
@@ -89,7 +91,6 @@ pub mod parallel;
 pub mod pointwise;
 pub mod primes;
 pub mod schoolbook;
-pub mod swar;
 
 pub use dispatch::AnyNttPlan;
 pub use error::NttError;

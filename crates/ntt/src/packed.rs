@@ -34,7 +34,7 @@ use crate::plan::NttPlan;
 pub const MAX_PACKED_Q: u32 = 1 << 14;
 
 /// Asserts the packed lazy-domain precondition `4q < 2¹⁶` — shared by
-/// every halfword-lane transform (packed, SWAR, fused parallel).
+/// every halfword-lane transform (packed, fused parallel).
 #[inline]
 pub(crate) fn assert_packed_q(q: u32) {
     assert!(

@@ -49,8 +49,6 @@ pub struct NttPlan<R: Reducer = BarrettGeneric> {
     reducer: R,
     modulus: Modulus,
     n: usize,
-    log_n: u32,
-    psi: u32,
     /// `psi_bitrev[i] = ψ^bitrev(i)` with Shoup companion — forward twiddles.
     psi_bitrev: Vec<ShoupPair>,
     /// `ipsi_bitrev[i] = ψ^(−bitrev(i))` with Shoup companion — inverse twiddles.
@@ -144,8 +142,6 @@ impl<R: Reducer> NttPlan<R> {
             reducer,
             modulus,
             n,
-            log_n,
-            psi,
             psi_bitrev,
             ipsi_bitrev,
             n_inv: ShoupPair::new(n_inv_val, q),
@@ -159,12 +155,6 @@ impl<R: Reducer> NttPlan<R> {
     #[inline]
     pub fn n(&self) -> usize {
         self.n
-    }
-
-    /// log₂(n).
-    #[inline]
-    pub fn log_n(&self) -> u32 {
-        self.log_n
     }
 
     /// The modulus context.
@@ -183,12 +173,6 @@ impl<R: Reducer> NttPlan<R> {
     #[inline]
     pub fn q(&self) -> u32 {
         self.reducer.q()
-    }
-
-    /// The 2n-th primitive root ψ used by this plan.
-    #[inline]
-    pub fn psi(&self) -> u32 {
-        self.psi
     }
 
     /// `n⁻¹ mod q`.
@@ -424,36 +408,6 @@ impl<R: Reducer> NttPlan<R> {
         out
     }
 
-    /// Allocation-free forward transform: copies `src` into `dst` and
-    /// transforms in place.
-    ///
-    /// # Errors
-    ///
-    /// [`NttError::LengthMismatch`] if either slice's length differs from
-    /// `n`.
-    pub fn forward_into(&self, src: &[u32], dst: &mut [u32]) -> Result<(), NttError> {
-        self.check_len(src.len())?;
-        self.check_len(dst.len())?;
-        dst.copy_from_slice(src);
-        self.forward(dst);
-        Ok(())
-    }
-
-    /// Allocation-free inverse transform: copies `src` into `dst` and
-    /// inverse-transforms in place.
-    ///
-    /// # Errors
-    ///
-    /// [`NttError::LengthMismatch`] if either slice's length differs from
-    /// `n`.
-    pub fn inverse_into(&self, src: &[u32], dst: &mut [u32]) -> Result<(), NttError> {
-        self.check_len(src.len())?;
-        self.check_len(dst.len())?;
-        dst.copy_from_slice(src);
-        self.inverse(dst);
-        Ok(())
-    }
-
     /// Re-tags an already-built plan with another reducer for the same
     /// modulus, moving the twiddle tables instead of recomputing them —
     /// how [`crate::AnyNttPlan`] upgrades a generic plan to a
@@ -464,8 +418,6 @@ impl<R: Reducer> NttPlan<R> {
             reducer,
             modulus: self.modulus,
             n: self.n,
-            log_n: self.log_n,
-            psi: self.psi,
             psi_bitrev: self.psi_bitrev,
             ipsi_bitrev: self.ipsi_bitrev,
             n_inv: self.n_inv,

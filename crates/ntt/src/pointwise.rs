@@ -67,17 +67,6 @@ pub fn mul_into<R: Reducer>(out: &mut [u32], a: &[u32], b: &[u32], q: &R) -> Res
     Ok(())
 }
 
-/// In-place pointwise product `a[i] ← a[i] · b[i] mod q`.
-///
-/// # Errors
-///
-/// [`NttError::LengthMismatch`] if the inputs differ in length.
-pub fn mul_assign<R: Reducer>(a: &mut [u32], b: &[u32], q: &R) -> Result<(), NttError> {
-    check_lengths(a.len(), &[b.len()])?;
-    q.mul_assign_slice(a, b);
-    Ok(())
-}
-
 /// Pointwise product of **lazy-domain** operands: inputs in `[0, 4q)`
 /// congruent to the intended residues (exactly what
 /// [`crate::NttPlan::forward_lazy`] produces); the outputs are canonical
@@ -120,17 +109,6 @@ pub fn add<R: Reducer>(a: &[u32], b: &[u32], q: &R) -> Result<Vec<u32>, NttError
     Ok(out)
 }
 
-/// Allocation-free pointwise sum: `out[i] = a[i] + b[i] mod q`.
-///
-/// # Errors
-///
-/// [`NttError::LengthMismatch`] if `b` or `out` differ in length from `a`.
-pub fn add_into<R: Reducer>(out: &mut [u32], a: &[u32], b: &[u32], q: &R) -> Result<(), NttError> {
-    check_lengths(a.len(), &[b.len(), out.len()])?;
-    q.add_into_slice(out, a, b);
-    Ok(())
-}
-
 /// In-place pointwise sum `a[i] ← a[i] + b[i] mod q`.
 ///
 /// # Errors
@@ -162,17 +140,6 @@ pub fn sub<R: Reducer>(a: &[u32], b: &[u32], q: &R) -> Result<Vec<u32>, NttError
 pub fn sub_into<R: Reducer>(out: &mut [u32], a: &[u32], b: &[u32], q: &R) -> Result<(), NttError> {
     check_lengths(a.len(), &[b.len(), out.len()])?;
     q.sub_into_slice(out, a, b);
-    Ok(())
-}
-
-/// In-place pointwise difference `a[i] ← a[i] − b[i] mod q`.
-///
-/// # Errors
-///
-/// [`NttError::LengthMismatch`] if the inputs differ in length.
-pub fn sub_assign<R: Reducer>(a: &mut [u32], b: &[u32], q: &R) -> Result<(), NttError> {
-    check_lengths(a.len(), &[b.len()])?;
-    q.sub_assign_slice(a, b);
     Ok(())
 }
 
@@ -232,14 +199,11 @@ mod tests {
         let a = vec![5u32, 7000, 1, 7680];
         let b = vec![3u32, 42, 100, 7680];
         let mut ma = a.clone();
-        mul_assign(&mut ma, &b, &m).unwrap();
+        mul_lazy_assign(&mut ma, &b, &m).unwrap();
         assert_eq!(ma, mul(&a, &b, &m).unwrap());
         let mut sa = a.clone();
         add_assign(&mut sa, &b, &m).unwrap();
         assert_eq!(sa, add(&a, &b, &m).unwrap());
-        let mut da = a.clone();
-        sub_assign(&mut da, &b, &m).unwrap();
-        assert_eq!(da, sub(&a, &b, &m).unwrap());
         let mut acc = vec![9u32, 9, 9, 9];
         mul_add_assign(&mut acc, &a, &b, &m).unwrap();
         assert_eq!(acc, mul_add(&a, &b, &[9, 9, 9, 9], &m).unwrap());
@@ -253,8 +217,6 @@ mod tests {
         let mut out = vec![0u32; 4];
         mul_into(&mut out, &a, &b, &m).unwrap();
         assert_eq!(out, mul(&a, &b, &m).unwrap());
-        add_into(&mut out, &a, &b, &m).unwrap();
-        assert_eq!(out, add(&a, &b, &m).unwrap());
         sub_into(&mut out, &a, &b, &m).unwrap();
         assert_eq!(out, sub(&a, &b, &m).unwrap());
     }
@@ -281,7 +243,7 @@ mod tests {
         assert!(sub(&[1, 2, 3], &[1, 2], &m).is_err());
         assert!(mul_add(&[1, 2], &[1, 2], &[1], &m).is_err());
         let mut a = [1u32, 2];
-        assert!(mul_assign(&mut a, &[1], &m).is_err());
+        assert!(mul_lazy_assign(&mut a, &[1], &m).is_err());
         assert!(add_assign(&mut a, &[1, 2, 3], &m).is_err());
         let mut out = [0u32; 3];
         assert!(mul_into(&mut out, &[1, 2], &[1, 2], &m).is_err());

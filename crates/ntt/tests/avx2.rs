@@ -1,5 +1,5 @@
 //! AVX2 backend equivalence: the vectorized transforms must be
-//! bit-identical to the scalar reference and SWAR backends.
+//! bit-identical to the scalar reference.
 //!
 //! On hosts without AVX2 the wrapper entry points fall back to the
 //! scalar algorithm, so every assertion here still runs and must still
@@ -7,7 +7,6 @@
 //! stays green on any architecture.
 
 use proptest::prelude::*;
-use rlwe_ntt::swar::{forward_swar, pack_coeffs4, unpack_coeffs4};
 use rlwe_ntt::NttPlan;
 
 /// (label, n, q) for the paper's two rings.
@@ -35,22 +34,14 @@ fn note_host_capability() {
     }
 }
 
-/// Asserts the AVX2 entry points agree with the reference and SWAR
-/// backends on one plan/input pair.
+/// Asserts the AVX2 entry points agree with the scalar reference on one
+/// plan/input pair.
 fn assert_avx2_matches_scalar<R: rlwe_zq::Reducer>(plan: &NttPlan<R>, a: &[u32], label: &str) {
     let reference = plan.forward_copy(a);
 
     let mut via_avx2 = a.to_vec();
     plan.forward_avx2(&mut via_avx2);
     assert_eq!(via_avx2, reference, "avx2 forward diverged on {label}");
-
-    let mut lanes = pack_coeffs4(a);
-    forward_swar(plan, &mut lanes);
-    assert_eq!(
-        unpack_coeffs4(&lanes),
-        reference,
-        "swar disagreed with the reference on {label}"
-    );
 
     let mut back = reference.clone();
     plan.inverse_avx2(&mut back);

@@ -1,14 +1,13 @@
-//! Exposition-format exporters: Prometheus-style text and a JSON
-//! snapshot.
+//! The exposition-format exporter: Prometheus-style text.
 //!
-//! Both are pure functions of a [`Registry`] — no I/O, no global state
-//! beyond the registry handed in — so the future network front-end can
-//! serve [`crate::render`]'s output verbatim. Output ordering is fully
-//! deterministic (entries sorted by `(name, labels)`), which the golden
-//! tests in `tests/golden.rs` pin.
+//! [`render_text`] is a pure function of a [`Registry`] — no I/O, no
+//! global state beyond the registry handed in — so the server's
+//! `GET /metrics` serves [`crate::render`]'s output verbatim. Output
+//! ordering is fully deterministic (entries sorted by `(name, labels)`),
+//! which the golden tests in `tests/golden.rs` pin.
 
 use crate::hist::HistogramSnapshot;
-use crate::registry::{ExportEntry, ExportValue, Registry};
+use crate::registry::{ExportValue, Registry};
 use std::fmt::Write;
 
 /// Escapes a label value per the Prometheus text format: `\`, `"` and
@@ -116,80 +115,6 @@ pub fn render_text(reg: &Registry) -> String {
     out
 }
 
-/// Escapes a JSON string's contents.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-fn json_labels(labels: &[(&'static str, String)]) -> String {
-    let mut out = String::from("{");
-    for (i, (k, v)) in labels.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "\"{}\":\"{}\"", json_escape(k), json_escape(v));
-    }
-    out.push('}');
-    out
-}
-
-fn push_json_entry(out: &mut String, e: &ExportEntry) {
-    let _ = write!(
-        out,
-        "    {{\"name\":\"{}\",\"labels\":{},",
-        json_escape(e.name),
-        json_labels(&e.labels)
-    );
-    match &e.value {
-        ExportValue::Counter(v) => {
-            let _ = write!(out, "\"type\":\"counter\",\"value\":{v}}}");
-        }
-        ExportValue::Gauge(v) => {
-            let _ = write!(out, "\"type\":\"gauge\",\"value\":{v}}}");
-        }
-        ExportValue::Summary(s) => {
-            let _ = write!(
-                out,
-                "\"type\":\"summary\",\"count\":{},\"sum_ns\":{},\"mean_ns\":{},\"p50_ns\":{},\"p90_ns\":{},\"p99_ns\":{}}}",
-                s.len(),
-                s.sum_ns(),
-                s.mean_ns(),
-                s.quantile_ns(0.5),
-                s.quantile_ns(0.9),
-                s.quantile_ns(0.99)
-            );
-        }
-    }
-}
-
-/// Renders a registry as a JSON snapshot (hand-rolled, like
-/// `rlwe-bench`'s `perf_snapshot`; this workspace has no JSON
-/// dependency). Same deterministic ordering as [`render_text`].
-pub fn render_json(reg: &Registry) -> String {
-    let mut out = String::from("{\n  \"schema\": 1,\n  \"metrics\": [\n");
-    let entries = reg.export_entries();
-    for (i, e) in entries.iter().enumerate() {
-        push_json_entry(&mut out, e);
-        out.push_str(if i + 1 < entries.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -201,11 +126,9 @@ mod tests {
     }
 
     #[test]
-    fn empty_registry_renders_empty_text_and_valid_json() {
+    fn empty_registry_renders_empty_text() {
         let reg = Registry::new();
         assert_eq!(render_text(&reg), "");
-        let json = render_json(&reg);
-        assert!(json.contains("\"metrics\": [\n  ]"));
     }
 
     #[test]
@@ -228,20 +151,5 @@ mod tests {
         assert!(text.contains("lat_ns{quantile=\"0.5\"}"));
         assert!(text.contains("lat_ns_sum 100\n"));
         assert!(text.contains("lat_ns_count 1\n"));
-    }
-
-    #[test]
-    fn json_is_structurally_balanced() {
-        let reg = Registry::new();
-        reg.counter("a_total", "A.", &[]).inc();
-        reg.gauge("g", "G.", &[("k", "v")]).set(-3);
-        reg.histogram("h_ns", "H.", &[]).record_ns(5);
-        let json = render_json(&reg);
-        assert_eq!(
-            json.matches('{').count(),
-            json.matches('}').count(),
-            "{json}"
-        );
-        assert!(json.contains("\"type\":\"gauge\",\"value\":-3"));
     }
 }

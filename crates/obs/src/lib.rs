@@ -11,9 +11,9 @@
 //!   The encrypt/decrypt pipeline phases are histograms like any other
 //!   (`rlwe_phase_ns{op, phase, param_set}`, resolved by `rlwe-core`'s
 //!   contexts and recorded on every call).
-//! - **[`export`]** — Prometheus-style text exposition and a JSON
-//!   snapshot, both pure functions of a registry so a network
-//!   front-end can serve [`render`] verbatim.
+//! - **[`export`]** — Prometheus-style text exposition, a pure
+//!   function of a registry, so the server's `GET /metrics` serves
+//!   [`render`] verbatim.
 //!
 //! The aligned-text-table formatter behind `rlwe-m4sim`'s table
 //! reproduction lives in [`table`].
@@ -70,12 +70,6 @@ pub fn global() -> &'static Registry {
 /// should serve.
 pub fn render() -> String {
     export::render_text(global())
-}
-
-/// Renders the global registry as a JSON snapshot (same hand-rolled
-/// idiom as `rlwe-bench`'s `perf_snapshot`).
-pub fn render_json() -> String {
-    export::render_json(global())
 }
 
 #[cfg(test)]

@@ -60,23 +60,6 @@ fn exposition_format_matches_the_golden_output() {
 }
 
 #[test]
-fn json_snapshot_matches_the_golden_output() {
-    let reg = Registry::new();
-    reg.counter("a_total", "A.", &[("k", "v\"w")]).add(5);
-    reg.gauge("depth", "D.", &[]).set(-2);
-    let expected = concat!(
-        "{\n",
-        "  \"schema\": 1,\n",
-        "  \"metrics\": [\n",
-        "    {\"name\":\"a_total\",\"labels\":{\"k\":\"v\\\"w\"},\"type\":\"counter\",\"value\":5},\n",
-        "    {\"name\":\"depth\",\"labels\":{},\"type\":\"gauge\",\"value\":-2}\n",
-        "  ]\n",
-        "}\n",
-    );
-    assert_eq!(export::render_json(&reg), expected);
-}
-
-#[test]
 fn render_is_stable_across_repeated_calls() {
     let reg = Registry::new();
     reg.counter("x_total", "X.", &[("b", "2")]).inc();

@@ -208,8 +208,8 @@ pub fn zeroize_u32(buf: &mut [u32]) {
     std::hint::black_box(buf);
 }
 
-/// Best-effort secret erasure for `u64` buffers (SWAR lane words); see
-/// [`zeroize`].
+/// Best-effort secret erasure for `u64` buffers (Poly1305 key,
+/// accumulator and lane limbs); see [`zeroize`].
 pub fn zeroize_u64(buf: &mut [u64]) {
     for c in buf.iter_mut() {
         *c = 0;

@@ -57,8 +57,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    // 4. Exporters are pure functions of a registry — serve either
-    //    string from a metrics endpoint.
+    // 4. The exporter is a pure function of a registry — a metrics
+    //    endpoint serves its string verbatim.
     let text = obs::render();
     let interesting = text
         .lines()
@@ -67,10 +67,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .collect::<Vec<_>>()
         .join("\n");
     println!("\nselected exposition lines:\n{interesting}");
-    println!(
-        "\nfull export: {} bytes of text, {} bytes of JSON",
-        text.len(),
-        obs::render_json().len()
-    );
+    println!("\nfull export: {} bytes of text", text.len());
     Ok(())
 }

@@ -5,9 +5,7 @@
 //! of the same port. What used to be an in-memory simulation of a
 //! serving loop is now the serving loop.
 //!
-//! Run with `cargo run --release --example throughput_server`;
-//! pass `--json` for the JSON metrics snapshot instead of the
-//! Prometheus text exposition.
+//! Run with `cargo run --release --example throughput_server`.
 
 use rlwe_suite::server::{http_get, serve, Client, RejectReason, ServerConfig};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -87,16 +85,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- The metrics endpoint body, fetched over the wire. --------------
     let scrape = http_get(addr, "/metrics")?;
     handle.shutdown();
-    if std::env::args().any(|a| a == "--json") {
-        println!(
-            "=== rlwe_obs::render_json() ===\n{}",
-            rlwe_suite::obs::render_json()
-        );
-    } else {
-        println!(
-            "=== GET /metrics ===\n{}",
-            String::from_utf8_lossy(&scrape.body)
-        );
-    }
+    println!(
+        "=== GET /metrics ===\n{}",
+        String::from_utf8_lossy(&scrape.body)
+    );
     Ok(())
 }

@@ -50,9 +50,9 @@
 //! Contexts are configured through the builder: pick a parameter set and a
 //! sampler variant, then encrypt. The NTT is not a knob: each context
 //! runs the AVX2 transform when the host has it and the bit-identical
-//! scalar reference otherwise. Keys and ciphertexts store
-//! typed [`scheme::Poly`]`<`[`scheme::Ntt`]`>` polynomials, so the
-//! coefficient-domain/NTT-domain distinction is checked by the compiler.
+//! scalar reference otherwise. Keys and ciphertexts store NTT-domain
+//! [`scheme::Poly`] values, which carry their modulus and are always
+//! reduced.
 //!
 //! ```
 //! use rlwe_suite::scheme::{NttBackend, ParamSet, RlweContext, SamplerKind};
